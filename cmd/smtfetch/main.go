@@ -60,8 +60,6 @@ func main() {
 		err = cmdCompare(os.Args[2:])
 	case "aggregate":
 		err = cmdAggregate(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 		return
@@ -94,7 +92,6 @@ commands:
              (multi-seed cell-groups gate on 95% CI overlap)
   aggregate  reduce a sweep results file across its seed axis to
              per-group mean/stddev/95% CI statistics
-  bench      measure simulator throughput on a fixed grid (perf trajectory)
 
 run 'smtfetch <command> -h' for command flags.
 `)
@@ -515,6 +512,12 @@ func reportSweepOutcome(w, aw *os.File, spec *sweepSpec, results []experiment.Re
 	return runErr
 }
 
+// readHeaderTimeout bounds how long serve and coordinate wait for a
+// client's request headers, so idle or stalled connections cannot pin
+// them. There is deliberately no write timeout: a synchronous sweep may
+// legitimately run for minutes.
+const readHeaderTimeout = 10 * time.Second
+
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for a random port)")
@@ -543,7 +546,7 @@ func cmdServe(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "smtfetch serve: listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	shutdownDone := make(chan struct{})
 	go func() {
 		defer close(shutdownDone)
@@ -635,7 +638,7 @@ func cmdCoordinate(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "smtfetch coordinate: listening on http://%s, %d workers\n", ln.Addr(), len(cfg.Workers))
 
-	httpSrv := &http.Server{Handler: co}
+	httpSrv := &http.Server{Handler: co, ReadHeaderTimeout: readHeaderTimeout}
 	shutdownDone := make(chan struct{})
 	go func() {
 		defer close(shutdownDone)
@@ -776,102 +779,6 @@ func cmdAggregate(args []string) error {
 	}
 	if w != os.Stdout {
 		fmt.Fprintf(os.Stderr, "wrote %d aggregate groups to %s\n", len(groups), out)
-	}
-	return nil
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	workloads := fs.String("workloads", "", "comma-separated workloads (default: 2_MIX,4_MIX,8_MIX)")
-	engines := fs.String("engines", "", "comma-separated engines (default: all three)")
-	policies := fs.String("policies", "", "comma-separated POLICY.T.W policies (default: ICOUNT.1.8)")
-	warmup := fs.Uint64("warmup", 0, "warm-up instructions per cell (0 = default 50k)")
-	measure := fs.Uint64("measure", 0, "measured instructions per cell (0 = default 300k)")
-	quick := fs.Bool("quick", false, "CI mode: 10k warm-up, 50k measured instructions")
-	// The default output deliberately differs from the checked-in
-	// BENCH_PR4.json baseline so a bare `bench -baseline ...` run cannot
-	// clobber the reference it (or CI) compares against.
-	out := fs.String("o", "BENCH_LOCAL.json", "write the perf report JSON to this file ('-' = stdout)")
-	baseline := fs.String("baseline", "", "compare against this perf report and fail on regressions")
-	tol := fs.Float64("tol", 0.25, "relative throughput drop tolerated vs -baseline (wall clock is machine-dependent)")
-	allocTol := fs.Float64("alloc-tol", 0.01, "absolute allocs/cycle increase tolerated vs -baseline")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	pb := experiment.PerfBench{
-		Workloads:     splitList(*workloads),
-		WarmupInstrs:  *warmup,
-		MeasureInstrs: *measure,
-	}
-	for _, s := range splitList(*engines) {
-		e, err := smtfetch.ParseEngine(s)
-		if err != nil {
-			return err
-		}
-		pb.Engines = append(pb.Engines, e)
-	}
-	for _, s := range splitList(*policies) {
-		p, err := smtfetch.ParseFetchPolicy(s)
-		if err != nil {
-			return err
-		}
-		pb.Policies = append(pb.Policies, p)
-	}
-	if *quick {
-		if pb.WarmupInstrs == 0 {
-			pb.WarmupInstrs = 10_000
-		}
-		if pb.MeasureInstrs == 0 {
-			pb.MeasureInstrs = 50_000
-		}
-	}
-	// Read the baseline before running (fail fast on a bad path) and
-	// before writing -o (the output may overwrite the baseline file).
-	var base *experiment.PerfReport
-	if *baseline != "" {
-		var err error
-		if base, err = experiment.ReadPerfJSONFile(*baseline); err != nil {
-			return err
-		}
-	}
-	pb.OnCell = func(done, total int, c experiment.PerfCell) {
-		status := fmt.Sprintf("%.0f kcyc/s, %.3f allocs/cyc", c.KiloCyclesPerSec, c.AllocsPerCycle)
-		if c.Error != "" {
-			status = "ERROR " + c.Error
-		}
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s/%s/%s: %s\n", done, total, c.Workload, c.Engine, c.Policy, status)
-	}
-
-	rep, runErr := pb.Run()
-	if rep == nil {
-		return runErr
-	}
-	fmt.Fprint(os.Stderr, experiment.PerfTable(rep))
-	w := os.Stdout
-	if *out != "" && *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := experiment.WritePerfJSON(w, rep); err != nil {
-		return err
-	}
-	if w != os.Stdout {
-		fmt.Fprintf(os.Stderr, "wrote perf report to %s\n", *out)
-	}
-	if runErr != nil {
-		return runErr
-	}
-	if base != nil {
-		cmp := experiment.PerfCompare(base, rep, *tol, *allocTol)
-		fmt.Fprint(os.Stderr, cmp)
-		if err := cmp.Err(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

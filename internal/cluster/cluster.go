@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"smtfetch/internal/experiment"
+	"smtfetch/internal/flight"
 	"smtfetch/internal/server"
 )
 
@@ -95,21 +96,11 @@ type Coordinator struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 
-	// flight is the cluster-wide single-flight map: per content key, at
-	// most one dispatch anywhere in the fleet at a time. It layers over
-	// each worker's own per-key single-flight — the worker layer dedupes
-	// concurrent misses that reach one worker, this layer stops them
-	// from reaching workers (or, after a re-dispatch, *different*
-	// workers) at all.
-	flight struct {
-		mu sync.Mutex
-		m  map[string]*flightEntry
-	}
-
-	// dispatch executes one cell somewhere in the fleet. It is a field
-	// (defaulting to dispatchCell) so single-flight tests can substitute
-	// a controllable fake without HTTP.
-	dispatch func(*experiment.Sweep, experiment.Cell) experiment.Result
+	// flight allows at most one dispatch per content key anywhere in the
+	// fleet at a time. Each worker's own single-flight dedupes misses that
+	// reach it; this one stops them from reaching workers (or, after a
+	// re-dispatch, *different* workers) at all.
+	flight flight.Group[experiment.Result]
 }
 
 // New builds a Coordinator over the configured workers. No probing
@@ -185,8 +176,6 @@ func New(cfg Config) (*Coordinator, error) {
 			client: &server.Client{BaseURL: u, HTTPClient: httpc, PollInterval: poll},
 		})
 	}
-	co.flight.m = map[string]*flightEntry{}
-	co.dispatch = co.dispatchCell
 	co.mux = http.NewServeMux()
 	co.mux.HandleFunc("/sweep", co.handleSweep)
 	co.mux.HandleFunc("/jobs/", co.jobs.HandleHTTP)
@@ -222,11 +211,8 @@ func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST /sweep only")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req server.SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+	req, ok := server.DecodeSweepRequest(w, r)
+	if !ok {
 		return
 	}
 	sw, err := req.Sweep()

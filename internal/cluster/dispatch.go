@@ -2,64 +2,31 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"smtfetch/internal/experiment"
 	"smtfetch/internal/server"
 )
 
-// flightEntry is one in-flight content key. Waiters block on done; ok
-// reports whether the leader's result is shareable (error results are
-// not — each waiter retries itself, exactly like the worker-level
-// single-flight, so a transient worker failure doesn't fan out).
-type flightEntry struct {
-	done chan struct{}
-	res  experiment.Result
-	ok   bool
-}
-
 // fetchCell resolves one cell cluster-wide, single-flighting on the full
 // content key (fingerprint + cell key): while a dispatch for the key is
 // in flight anywhere — from this request or a concurrently posted
 // overlapping grid — no second dispatch starts. Combined with each
 // worker's cache and its own single-flight, a shared cell simulates
-// exactly once across the fleet no matter how many grids want it.
+// exactly once across the fleet no matter how many grids want it. An
+// error result is a failed call, so its waiters re-dispatch rather than
+// inherit a transient worker failure.
 func (co *Coordinator) fetchCell(sw *experiment.Sweep, fp string, c experiment.Cell) experiment.Result {
-	key := server.CacheKey(fp, c)
-	for {
-		co.flight.mu.Lock()
-		e, running := co.flight.m[key]
-		if !running {
-			e = &flightEntry{done: make(chan struct{})}
-			co.flight.m[key] = e
+	res, _ := co.flight.Do(server.CacheKey(fp, c), func() (experiment.Result, error) {
+		res := co.dispatchCell(sw, c)
+		if res.Error != "" {
+			return res, errors.New(res.Error)
 		}
-		co.flight.mu.Unlock()
-		if running {
-			if h := testHookFlightWait; h != nil {
-				h(key)
-			}
-			<-e.done
-			if e.ok {
-				return e.res
-			}
-			continue
-		}
-		res := co.dispatch(sw, c)
-		e.res, e.ok = res, res.Error == ""
-		co.flight.mu.Lock()
-		delete(co.flight.m, key)
-		co.flight.mu.Unlock()
-		close(e.done)
-		return res
-	}
+		return res, nil
+	})
+	return res
 }
-
-// testHookFlightWait, when non-nil, fires the moment a fetchCell caller
-// commits to the waiter path (its key's flight entry exists and belongs
-// to someone else). Single-flight tests use it to know — without
-// sleeping — that every concurrent caller is parked behind the leader
-// before they release the leader; production code never sets it.
-var testHookFlightWait func(key string)
 
 // dispatchCell executes one cell on the fleet: workers are tried in
 // rendezvous order for the cell's routing key — live workers first, then

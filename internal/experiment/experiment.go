@@ -102,7 +102,8 @@ type Sweep struct {
 	// sweeps (the server's snapshot cache tier): it receives the group's
 	// warm key and a builder, and returns a cached blob or the builder's
 	// output. Within one sweep checkpoints are additionally memoized per
-	// warm key, so the source sees each key at most once per run.
+	// warm key, so the source sees each key at most once per run; a
+	// failed build is not memoized, and the next cell retries it.
 	SnapshotSource func(key string, build func() ([]byte, error)) ([]byte, error) //smtfetch:nonsemantic checkpoint transport; blob identity is the WarmKey itself
 
 	// OnResult, when non-nil, is called after each cell finishes with the
@@ -232,7 +233,7 @@ func (s *Sweep) Run() ([]Result, error) {
 // in their Result.Error field and in the aggregated error.
 func (s *Sweep) RunCells(cells []Cell, src ResultSource) ([]Result, error) {
 	if s.snap == nil {
-		s.snap = newSnapMemo()
+		s.snap = &snapMemo{}
 	}
 	jobs := s.Jobs
 	if jobs <= 0 {

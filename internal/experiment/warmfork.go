@@ -30,6 +30,7 @@ import (
 	"smtfetch"
 	"smtfetch/internal/config"
 	"smtfetch/internal/core"
+	"smtfetch/internal/flight"
 )
 
 // Warm-fork modes for Sweep.WarmFork.
@@ -101,22 +102,12 @@ func (s *Sweep) warmKeyAt(snapshotVersion int, c Cell) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// snapMemo singleflights warm-checkpoint construction across the worker
-// pool: the first worker to need a key builds it, the rest block on the
-// entry's once and share the blob.
+// snapMemo holds the warm checkpoints built so far in this sweep, keyed
+// by warm key. Only successful builds are stored, so a failed one is
+// retried by the next cell that needs it.
 type snapMemo struct {
-	mu sync.Mutex
-	m  map[string]*snapEntry
-}
-
-type snapEntry struct {
-	once sync.Once
-	blob []byte
-	err  error
-}
-
-func newSnapMemo() *snapMemo {
-	return &snapMemo{m: make(map[string]*snapEntry)}
+	flight flight.Group[[]byte]
+	blobs  sync.Map
 }
 
 // snapshotFor returns the warm checkpoint for key, building it at most
@@ -132,15 +123,18 @@ func (s *Sweep) snapshotFor(key string, build func() ([]byte, error)) ([]byte, e
 		// Direct ExecuteCell call outside RunCells: correct, just unmemoized.
 		return wrapped()
 	}
-	m.mu.Lock()
-	e := m.m[key]
-	if e == nil {
-		e = &snapEntry{}
-		m.m[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.blob, e.err = wrapped() })
-	return e.blob, e.err
+	// The lookup runs inside the flight, so a checkpoint stored by a
+	// leader that finished a moment ago is never built a second time.
+	return m.flight.Do(key, func() ([]byte, error) {
+		if blob, ok := m.blobs.Load(key); ok {
+			return blob.([]byte), nil
+		}
+		blob, err := wrapped()
+		if err == nil {
+			m.blobs.Store(key, blob)
+		}
+		return blob, err
+	})
 }
 
 // runWarmFork executes one cell in a warm-fork mode. Both modes build the

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"smtfetch/internal/config"
@@ -118,6 +120,48 @@ func TestWarmForkSnapshotSourceSeesEachKeyOnce(t *testing.T) {
 		if n != 1 || builds[k] != 1 {
 			t.Fatalf("key %s: %d calls, %d builds, want 1 each", k, n, builds[k])
 		}
+	}
+}
+
+// A failed warm build is not memoized: the next cell that needs the
+// checkpoint retries it, and a later RunCells on the same Sweep reuses
+// the rebuilt checkpoint instead of returning the first failure.
+func TestWarmForkFailedBuildIsRetried(t *testing.T) {
+	sw := warmForkGrid(WarmForkFork)
+	var calls atomic.Int32
+	sw.SnapshotSource = func(key string, build func() ([]byte, error)) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			return nil, errors.New("transient snapshot store failure")
+		}
+		return build()
+	}
+	cells, err := sw.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := sw.RunCells(cells, nil)
+	failed := 0
+	for _, r := range first {
+		if r.Error != "" {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("first run: %d failed cells, want 1 (only the cell whose build failed)", failed)
+	}
+	second, err := sw.RunCells(cells, nil)
+	if err != nil {
+		t.Fatalf("second run on the same Sweep: %v", err)
+	}
+	for _, r := range second {
+		if r.IPC <= 0 {
+			t.Fatalf("cell %s: non-positive IPC %v", r.Key(), r.IPC)
+		}
+	}
+	// Two keys: the failed build, its retry, and the other group's build.
+	// The second run is served from the memo.
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("SnapshotSource called %d times, want 3", n)
 	}
 }
 

@@ -70,6 +70,10 @@ func CacheKey(fingerprint string, c experiment.Cell) string {
 // CacheStats is the counter snapshot served by GET /cache/stats. The
 // snapshot_* counters cover the warm-checkpoint artifact tier; the rest
 // cover the result tier.
+//
+// Concurrent misses on one key share one build, and a caller that waited
+// for it counts a miss and no hit, so under overlapping requests misses
+// can exceed stores; sequential traffic sees one miss per store.
 type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`

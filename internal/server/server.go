@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"smtfetch/internal/config"
 	"smtfetch/internal/core"
 	"smtfetch/internal/experiment"
+	"smtfetch/internal/flight"
 )
 
 // SweepRequest is the JSON body of POST /sweep. Axis fields carry the
@@ -116,13 +118,11 @@ type Server struct {
 	// shutdown can drain them (WaitJobs) before persisting the cache.
 	jobsWG sync.WaitGroup
 
-	// flight dedupes concurrent executions of the same cell across
-	// requests: two overlapping grids that miss on a shared cell must
-	// simulate it once, not twice.
-	flight struct {
-		mu sync.Mutex
-		m  map[string]chan struct{}
-	}
+	// results and snapshots dedupe concurrent misses on one key across
+	// requests: two overlapping grids that miss on a shared cell (or warm
+	// checkpoint) build it once, not twice.
+	results   flight.Group[experiment.Result]
+	snapshots flight.Group[[]byte]
 }
 
 // New builds a Server, loading the cache file when one is configured.
@@ -149,7 +149,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotCacheSize > 0 {
 		s.cache.SetSnapshotCapacity(cfg.SnapshotCacheSize)
 	}
-	s.flight.m = map[string]chan struct{}{}
 	if cfg.CacheFile != "" {
 		if _, err := s.cache.LoadFile(cfg.CacheFile); err != nil {
 			return nil, err
@@ -203,16 +202,38 @@ func writeJSONBody(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSweepRequestBytes caps a POST /sweep body. Real requests are a few
+// hundred bytes; the cap stops one client from making the service buffer
+// an unbounded body.
+const maxSweepRequestBytes = 1 << 20
+
+// DecodeSweepRequest reads a POST /sweep body of at most
+// maxSweepRequestBytes, rejecting unknown fields. On failure it has
+// already answered — 413 for an oversized body, 400 for a malformed one —
+// and reports false.
+func DecodeSweepRequest(w http.ResponseWriter, r *http.Request) (SweepRequest, bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepRequestBytes))
+	dec.DisallowUnknownFields()
+	var req SweepRequest
+	if err := dec.Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "bad sweep request: %v", err)
+		return SweepRequest{}, false
+	}
+	return req, true
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST /sweep only")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+	req, ok := DecodeSweepRequest(w, r)
+	if !ok {
 		return
 	}
 	sw, err := req.Sweep()
@@ -276,69 +297,39 @@ func (s *Server) runSweep(sw *experiment.Sweep, cells []experiment.Cell, fp stri
 
 // resolveSnapshot answers one warm key from the snapshot cache tier,
 // building (warming + checkpointing) on a miss. Concurrent misses on the
-// same key across overlapping jobs are single-flighted like result cells;
-// build failures are not cached, so waiters retry. Warm keys are pure hex,
-// so the "snapshot/" flight-key prefix cannot collide with result flight
-// keys (fingerprint-prefixed cache keys contain a cell suffix).
+// same key across overlapping jobs share one build; failed builds are not
+// stored, so the next request retries them.
 func (s *Server) resolveSnapshot(key string, build func() ([]byte, error)) ([]byte, error) {
-	for {
-		if blob, ok := s.cache.GetSnapshot(key); ok {
-			return blob, nil
-		}
-		s.flight.mu.Lock()
-		fk := "snapshot/" + key
-		ch, running := s.flight.m[fk]
-		if !running {
-			ch = make(chan struct{})
-			s.flight.m[fk] = ch
-		}
-		s.flight.mu.Unlock()
-		if running {
-			<-ch
-			continue
-		}
+	if blob, ok := s.cache.GetSnapshot(key); ok {
+		return blob, nil
+	}
+	return s.snapshots.Do(key, func() ([]byte, error) {
 		blob, err := build()
 		if err == nil {
 			s.cache.PutSnapshot(key, blob)
 		}
-		s.flight.mu.Lock()
-		delete(s.flight.m, fk)
-		s.flight.mu.Unlock()
-		close(ch)
 		return blob, err
-	}
+	})
 }
 
 // resolveKey answers one content key from the cache, executing exec on a
-// miss. Concurrent misses on the same key are single-flighted: one
-// caller executes, the rest wait and read its cached result — two
+// miss. Concurrent misses on the same key share one execution, so two
 // overlapping grids posted at the same time simulate each shared cell
-// once. If the leader's execution errors (nothing gets cached), each
-// waiter retries, so transient failures don't fan out to every waiter.
+// once. An error cell is a failed call: its waiters retry rather than
+// inherit it, so a transient failure doesn't fan out.
 func (s *Server) resolveKey(key string, exec func() experiment.Result) experiment.Result {
-	for {
-		if res, ok := s.cache.Get(key); ok {
-			return res
-		}
-		s.flight.mu.Lock()
-		ch, running := s.flight.m[key]
-		if !running {
-			ch = make(chan struct{})
-			s.flight.m[key] = ch
-		}
-		s.flight.mu.Unlock()
-		if running {
-			<-ch
-			continue
-		}
-		res := exec()
-		s.storeResult(key, res)
-		s.flight.mu.Lock()
-		delete(s.flight.m, key)
-		s.flight.mu.Unlock()
-		close(ch)
+	if res, ok := s.cache.Get(key); ok {
 		return res
 	}
+	res, _ := s.results.Do(key, func() (experiment.Result, error) {
+		res := exec()
+		s.storeResult(key, res)
+		if res.Error != "" {
+			return res, errors.New(res.Error)
+		}
+		return res, nil
+	})
+	return res
 }
 
 // storeResult caches a completed cell. Error cells are never stored: an

@@ -277,6 +277,25 @@ func TestSweepRequestValidation(t *testing.T) {
 	}
 }
 
+// A body over maxSweepRequestBytes is refused with 413 before anything
+// runs: the request is async and otherwise valid, yet no job is created.
+func TestOversizedSweepBodyRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	body := `{"async": true, "workloads": ["2_MIX"], "sample": "` +
+		strings.Repeat("x", maxSweepRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %s, want 413", resp.Status)
+	}
+	if _, ok := srv.jobs.Get("job-1"); ok {
+		t.Fatal("oversized request created a job")
+	}
+}
+
 func TestUnknownJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	c := &Client{BaseURL: ts.URL}
