@@ -106,7 +106,7 @@ type Config struct {
 package experiment
 
 // SchemaVersion matches the registered version.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 type resultsFile struct {
 	Drifted bool ` + "`json:\"drifted\"`" + `

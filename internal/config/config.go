@@ -363,6 +363,11 @@ func (c *Config) Validate() error {
 	if c.ROBSize < c.DecodeWidth {
 		return fmt.Errorf("config: ROB (%d) smaller than decode width (%d)", c.ROBSize, c.DecodeWidth)
 	}
+	// The decode/rename pipe holds one decode-width cohort per stage; with
+	// no stage it holds nothing and the front end deadlocks.
+	if c.DecodeStages < 0 || c.RenameStages < 0 || c.DecodeStages+c.RenameStages < 1 {
+		return fmt.Errorf("config: decode (%d) and rename (%d) stages must be non-negative and total at least 1", c.DecodeStages, c.RenameStages)
+	}
 	for _, cc := range []struct {
 		name string
 		c    CacheConfig

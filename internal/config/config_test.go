@@ -134,6 +134,8 @@ func TestValidateRejects(t *testing.T) {
 		{"ftq0", func(c *Config) { c.FTQSize = 0 }, "FTQ"},
 		{"threadsNeg", func(c *Config) { c.MaxThreads = 0 }, "MaxThreads"},
 		{"robTiny", func(c *Config) { c.ROBSize = 1 }, "ROB"},
+		{"noFrontStages", func(c *Config) { c.DecodeStages, c.RenameStages = 0, 0 }, "stages"},
+		{"negativeFrontStage", func(c *Config) { c.DecodeStages, c.RenameStages = -1, 3 }, "stages"},
 		{"gshareNPOT", func(c *Config) { c.GShareEntries = 1000 }, "gshare"},
 		{"gskewNPOT", func(c *Config) { c.GSkewEntries = 1000 }, "gskew"},
 		{"cacheLineNPOT", func(c *Config) { c.L1D.LineBytes = 48 }, "L1D"},

@@ -25,9 +25,26 @@ import (
 	"smtfetch/internal/stats"
 )
 
-// ringBits sizes the per-thread dependence-lookup ring (must exceed the
-// maximum in-flight window plus the maximum dependence distance).
+// ringBits sizes the per-thread dependence-lookup ring. New rejects a
+// machine whose in-flight bound plus the largest dependence distance does
+// not fit it.
 const ringBits = 12
+
+// decodeCapacity is the most uops the decode/rename pipe holds: one
+// decode-width cohort per stage, which is exactly what the pipe carries
+// when it runs at full rate, so the bound never caps throughput.
+func decodeCapacity(cfg *config.Config) int {
+	return (cfg.DecodeStages + cfg.RenameStages) * cfg.DecodeWidth
+}
+
+// inFlightBound is the most uops one thread can have fetched but neither
+// committed nor squashed: the ROB, the decode/rename pipe and the fetch
+// buffer, each at capacity. A FLUSH replay queue holds uops taken out of
+// those structures, and the thread fetches nothing new until it is empty,
+// so it never raises the total.
+func inFlightBound(cfg *config.Config) int {
+	return cfg.ROBSize + cfg.FetchBufferSize + decodeCapacity(cfg)
+}
 
 // threadState retains pooled uops (pendingFlush, replay, ring) by design:
 // flushed uops stay live until replayed, and the dependence ring is
@@ -96,6 +113,7 @@ type Sim struct {
 	// so working-set growth costs one heap allocation per slab.
 	freeUOps []*pipeline.UOp //smtfetch:transient pool free list; allocUOp zero-resets, population is invisible
 	uopSlab  []pipeline.UOp  //smtfetch:transient allocation block backing the pool
+	uopsMade int             //smtfetch:transient arena size, pool population is invisible
 	limboCur []*pipeline.UOp //smtfetch:transient squashed-uop quarantine, canonicalized out of the stream
 	limboOld []*pipeline.UOp //smtfetch:transient squashed-uop quarantine, canonicalized out of the stream
 
@@ -129,6 +147,10 @@ type Sim struct {
 
 	threads  []threadState
 	nthreads int
+	// flowBase[t] is thread t's in-flight count when the statistics were
+	// last reset (0 at construction); CheckFlow balances the counters
+	// accumulated since then against it.
+	flowBase []int
 
 	// drainMode gates the prediction stage off so the pipeline empties
 	// while consuming (never discarding) FTQ contents; Drain in state.go
@@ -160,6 +182,16 @@ func New(cfg config.Config, programs []*prog.Program, seed uint64) (*Sim, error)
 	if len(programs) > cfg.MaxThreads {
 		return nil, fmt.Errorf("core: %d threads exceeds MaxThreads=%d", len(programs), cfg.MaxThreads)
 	}
+	// A producer must keep its dependence-ring slot while any consumer can
+	// still look it up. Each term is checked alone too, so an absurd
+	// machine cannot overflow the sum back into range.
+	const ringSize = 1 << ringBits
+	bound := inFlightBound(&cfg)
+	if cfg.ROBSize > ringSize || cfg.FetchBufferSize > ringSize || cfg.DecodeWidth > ringSize ||
+		cfg.DecodeStages+cfg.RenameStages > ringSize || bound+prog.MaxDepDist > ringSize {
+		return nil, fmt.Errorf("core: a thread's in-flight window (ROB %d + fetch buffer %d + decode/rename %d) plus dependence distance %d exceeds the %d-entry dependence ring",
+			cfg.ROBSize, cfg.FetchBufferSize, decodeCapacity(&cfg), prog.MaxDepDist, ringSize)
+	}
 	n := len(programs)
 	s := &Sim{
 		cfg:      &cfg,
@@ -173,9 +205,10 @@ func New(cfg config.Config, programs []*prog.Program, seed uint64) (*Sim, error)
 		fpFUs:    pipeline.NewFUPool(cfg.FPUnits),
 		threads:  make([]threadState, n),
 		nthreads: n,
+		flowBase: make([]int, n),
 
 		fetchBuf:  pipeline.NewUOpRing(cfg.FetchBufferSize),
-		frontPipe: pipeline.NewUOpRing(2 * cfg.FetchBufferSize),
+		frontPipe: pipeline.NewUOpRing(decodeCapacity(&cfg)),
 		orderBuf:  make([]int, 0, n),
 		keyBuf:    make([]int, n),
 
@@ -191,10 +224,8 @@ func New(cfg config.Config, programs []*prog.Program, seed uint64) (*Sim, error)
 		s.iqposnBuf = make([]int, n)
 	}
 	if s.flushPolicy {
-		// A thread can never have more in-flight uops than the ROB plus
-		// the front-end buffers hold; pre-sizing to that bound keeps the
-		// flush and replay paths allocation-free from the first event.
-		bound := cfg.ROBSize + 3*cfg.FetchBufferSize
+		// Pre-sizing to the in-flight bound keeps the flush and replay
+		// paths allocation-free from the first event.
 		s.flushBatch = make([]*pipeline.UOp, 0, bound)
 		s.flushTail = make([]*pipeline.UOp, 0, bound)
 		for i := range s.threads {
@@ -248,6 +279,9 @@ func (s *Sim) Cycles() uint64 { return s.now }
 // subsequently reported numbers.
 func (s *Sim) ResetStats() {
 	s.st = stats.New(s.nthreads, s.cfg.FetchPolicy.Width)
+	for t := range s.flowBase {
+		s.flowBase[t] = s.inFlight(t)
+	}
 }
 
 // Run simulates until totalCommits instructions have committed or
@@ -330,6 +364,7 @@ func (s *Sim) allocUOp() *pipeline.UOp {
 	if len(s.uopSlab) == 0 {
 		//smtfetch:allowalloc slab growth: one heap allocation per uopSlabSize uops, only while the working set still grows
 		s.uopSlab = make([]pipeline.UOp, uopSlabSize)
+		s.uopsMade += uopSlabSize
 	}
 	u := &s.uopSlab[0]
 	s.uopSlab = s.uopSlab[1:]
@@ -766,12 +801,14 @@ func (s *Sim) dispatch() {
 }
 
 // decodeAdvance moves uops from the fetch buffer into the decode/rename
-// pipe.
+// pipe, stopping when the pipe is full. That is the front end's
+// backpressure: a stalled dispatch fills the pipe, a full pipe leaves
+// uops in the fetch buffer, and fetchStage stalls once the buffer is full.
 //
 //smtfetch:hotpath
 func (s *Sim) decodeAdvance() {
 	budget := s.cfg.DecodeWidth
-	for budget > 0 && s.fetchBuf.Len() > 0 {
+	for budget > 0 && s.fetchBuf.Len() > 0 && !s.frontPipe.Full() {
 		u := s.fetchBuf.PopHead()
 		if u.Squashed {
 			continue
@@ -998,6 +1035,7 @@ func (s *Sim) replayFromThread(t, budget int) int {
 		u.Dep1, u.Dep2 = u.SavedDep1, u.SavedDep2
 		s.deliver(ts, t, u)
 		s.st.Replayed++
+		s.st.PerThread[t].Replayed++
 		n++
 	}
 	if ts.replayPos == len(ts.replay) {
@@ -1070,14 +1108,14 @@ func (s *Sim) flushThread(t int, u *pipeline.UOp) {
 	// Merge ahead of any replay remainder from an earlier flush: a new
 	// flush point is always older than previously flushed uops.
 	if rem := ts.replay[ts.replayPos:]; len(rem) > 0 {
-		//smtfetch:allowalloc replay/flushTail are pre-sized to the ROB+fetch-buffer bound at construction; appends never exceed it
+		//smtfetch:allowalloc replay/flushTail are pre-sized to the in-flight bound at construction; appends never exceed it
 		s.flushTail = append(s.flushTail[:0], rem...)
-		//smtfetch:allowalloc replay/flushTail are pre-sized to the ROB+fetch-buffer bound at construction; appends never exceed it
+		//smtfetch:allowalloc replay/flushTail are pre-sized to the in-flight bound at construction; appends never exceed it
 		ts.replay = append(ts.replay[:0], batch...)
-		//smtfetch:allowalloc replay/flushTail are pre-sized to the ROB+fetch-buffer bound at construction; appends never exceed it
+		//smtfetch:allowalloc replay/flushTail are pre-sized to the in-flight bound at construction; appends never exceed it
 		ts.replay = append(ts.replay, s.flushTail...)
 	} else {
-		//smtfetch:allowalloc replay/flushTail are pre-sized to the ROB+fetch-buffer bound at construction; appends never exceed it
+		//smtfetch:allowalloc replay/flushTail are pre-sized to the in-flight bound at construction; appends never exceed it
 		ts.replay = append(ts.replay[:0], batch...)
 	}
 	ts.replayPos = 0

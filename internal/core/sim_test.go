@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"smtfetch/internal/bench"
@@ -194,6 +195,74 @@ func TestResetStatsExcludesWarmup(t *testing.T) {
 	for i := range st.PerThread {
 		if st.PerThread[i].Committed > st.Committed {
 			t.Fatalf("per-thread committed exceeds total after reset")
+		}
+	}
+	// The uops in flight at the reset were fetched before it; conservation
+	// still balances, also on a simulator restored from a snapshot.
+	if err := s.CheckFlow(); err != nil {
+		t.Fatalf("after reset: %v", err)
+	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newTestSim(t, config.GShareBTB, 7)
+	if err := r.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	r.RunCycles(1_000)
+	if err := r.CheckFlow(); err != nil {
+		t.Fatalf("after restore: %v", err)
+	}
+}
+
+// TestNewRejectsMachineBeyondDependenceRing covers the one structural
+// limit no config field states: a thread's in-flight window plus the
+// largest dependence distance must fit the dependence ring, or a producer
+// could lose its slot while a consumer still needs it.
+func TestNewRejectsMachineBeyondDependenceRing(t *testing.T) {
+	programs := []*prog.Program{prog.Build(bench.MustProfile("gzip"), 1)}
+	for name, mutate := range map[string]func(*config.Config){
+		"rob":             func(c *config.Config) { c.ROBSize = 1 << ringBits },
+		"fetch buffer":    func(c *config.Config) { c.FetchBufferSize = 1 << ringBits },
+		"stage overflow":  func(c *config.Config) { c.DecodeStages, c.RenameStages = 1<<61, 1<<61 },
+		"decode capacity": func(c *config.Config) { c.DecodeStages, c.DecodeWidth = 200, 20 },
+	} {
+		cfg := config.Default()
+		mutate(&cfg)
+		if _, err := New(cfg, programs, 1); err == nil || !strings.Contains(err.Error(), "dependence ring") {
+			t.Errorf("%s: New returned %v, want a dependence-ring error", name, err)
+		}
+	}
+	cfg := config.Default()
+	cfg.ROBSize = 1<<ringBits - prog.MaxDepDist - cfg.FetchBufferSize - decodeCapacity(&cfg)
+	if _, err := New(cfg, programs, 1); err != nil {
+		t.Errorf("largest ROB that fits: %v", err)
+	}
+}
+
+// TestRestoreRejectsRingOverflow feeds Restore a blob whose fetch buffer or
+// decode/rename pipe holds more uops than the receiver's ring can: it must
+// fail with an error, not panic in Push.
+func TestRestoreRejectsRingOverflow(t *testing.T) {
+	a := newTestSim(t, config.StreamFetch, 0xF11)
+	a.RunCycles(5_000)
+	if a.fetchBuf.Len() < 2 || a.frontPipe.Len() < 2 {
+		t.Fatalf("snapshot point holds %d fetch-buffer and %d decode-pipe uops, need 2 of each", a.fetchBuf.Len(), a.frontPipe.Len())
+	}
+	blob, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ring := range []string{"fetch buffer", "decode/rename pipe"} {
+		r := newTestSim(t, config.StreamFetch, 0xF11)
+		if ring == "fetch buffer" {
+			r.fetchBuf = pipeline.NewUOpRing(1)
+		} else {
+			r.frontPipe = pipeline.NewUOpRing(1)
+		}
+		if err := r.Restore(blob); err == nil || !strings.Contains(err.Error(), "capacity") {
+			t.Errorf("%s over capacity: Restore returned %v, want a capacity error", ring, err)
 		}
 	}
 }

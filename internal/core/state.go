@@ -49,7 +49,7 @@ import (
 const (
 	// snapMagic is "SMTF" little-endian.
 	snapMagic   = uint32('S') | uint32('M')<<8 | uint32('T')<<16 | uint32('F')<<24
-	snapVersion = uint32(1)
+	snapVersion = uint32(2)
 )
 
 // SnapshotVersion is the snapshot artifact format version. Callers that
@@ -233,6 +233,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 		w.Int(ts.brcount)
 		w.Int(ts.dmisses)
 		w.Int(ts.longLoads)
+		w.Int(s.flowBase[t])
 	}
 
 	w.Int(s.intRegs.Free())
@@ -402,6 +403,12 @@ func (s *Sim) Restore(blob []byte) error {
 	}
 	for _, ring := range []*pipeline.UOpRing{s.fetchBuf, s.frontPipe} {
 		cnt := r.Int()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if cnt > ring.Cap() {
+			return fmt.Errorf("core: snapshot front-end buffer holds %d uops, capacity %d", cnt, ring.Cap())
+		}
 		for i := 0; i < cnt; i++ {
 			u, err := uopAt(r.Int())
 			if err != nil {
@@ -431,6 +438,9 @@ func (s *Sim) Restore(blob []byte) error {
 			// the receiver was built under the same policy (cfgHash), so
 			// this is only reachable on corrupt input.
 			return fmt.Errorf("core: snapshot has replay uops but simulator has no replay queue")
+		}
+		if cnt > cap(ts.replay) {
+			return fmt.Errorf("core: snapshot replay queue holds %d uops, capacity %d", cnt, cap(ts.replay))
 		}
 		for i := 0; i < cnt; i++ {
 			u, err := uopAt(r.Int())
@@ -473,6 +483,7 @@ func (s *Sim) Restore(blob []byte) error {
 		ts.brcount = r.Int()
 		ts.dmisses = r.Int()
 		ts.longLoads = r.Int()
+		s.flowBase[t] = r.Int()
 	}
 
 	s.intRegs.SetFree(r.Int())
@@ -522,15 +533,15 @@ func (s *Sim) SetPolicy(p config.FetchPolicy) error {
 	if s.needIQPosn && s.iqposnBuf == nil {
 		s.iqposnBuf = make([]int, s.nthreads)
 	}
-	if s.flushPolicy && s.flushBatch == nil {
-		bound := s.cfg.ROBSize + 3*s.cfg.FetchBufferSize
-		s.flushBatch = make([]*pipeline.UOp, 0, bound)
-		s.flushTail = make([]*pipeline.UOp, 0, bound)
-	}
 	if s.flushPolicy {
+		bound := inFlightBound(s.cfg)
+		if s.flushBatch == nil {
+			s.flushBatch = make([]*pipeline.UOp, 0, bound)
+			s.flushTail = make([]*pipeline.UOp, 0, bound)
+		}
 		for i := range s.threads {
 			if s.threads[i].replay == nil {
-				s.threads[i].replay = make([]*pipeline.UOp, 0, s.cfg.ROBSize+3*s.cfg.FetchBufferSize)
+				s.threads[i].replay = make([]*pipeline.UOp, 0, bound)
 			}
 		}
 	}

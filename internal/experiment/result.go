@@ -116,8 +116,11 @@ type resultsFile struct {
 	Results       []Result `json:"results"`
 }
 
-// SchemaVersion is the current sweep-JSON schema version.
-const SchemaVersion = 1
+// SchemaVersion is the current sweep-JSON schema version. Version 2 marks
+// results from the bounded decode/rename pipe: a version-1 IPC came from a
+// front end that could over-fetch without limit, so it is neither
+// comparable nor servable from a cache.
+const SchemaVersion = 2
 
 // WriteJSON writes results (sorted, indented, versioned) to w.
 func WriteJSON(w io.Writer, rs []Result) error {

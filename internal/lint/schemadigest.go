@@ -36,7 +36,7 @@ var schemaRegs = []schemaReg{
 	{
 		Pkg:     "smtfetch/internal/experiment",
 		Const:   "SchemaVersion",
-		Version: 1,
+		Version: 2,
 		Mode:    "json",
 		Roots:   []string{"resultsFile"},
 		Digest:  "c228ffc2ddefeb37",
@@ -60,9 +60,9 @@ var schemaRegs = []schemaReg{
 	{
 		Pkg:     "smtfetch/internal/core",
 		Const:   "SnapshotVersion",
-		Version: 1,
+		Version: 2,
 		Mode:    "snap",
 		Roots:   []string{"Sim"},
-		Digest:  "8349faadbbba540a",
+		Digest:  "b7882340f146386e",
 	},
 }

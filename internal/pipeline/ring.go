@@ -1,25 +1,38 @@
 package pipeline
 
-// UOpRing is a growable FIFO of uops backed by a power-of-two ring buffer.
-// The simulator's per-cycle buffers (fetch buffer, decode/rename pipe, the
-// ROB's per-thread FIFOs) pop from the head every cycle; a slice-based queue
-// either shifts elements or walks its backing array forward and reallocates,
-// both of which show up in the cycle loop. The ring does neither: once grown
-// to the high-water mark it never allocates again.
+// UOpRing is a fixed-capacity FIFO of uops backed by a power-of-two ring
+// buffer. The simulator's per-cycle buffers (fetch buffer, decode/rename
+// pipe, the ROB's per-thread FIFOs) pop from the head every cycle; a
+// slice-based queue either shifts elements or walks its backing array
+// forward and reallocates, both of which show up in the cycle loop. The
+// ring does neither, and it never grows: each ring is built at the bound
+// of the structure it models, and every producer checks for room before
+// pushing (that check is the pipeline's backpressure).
 type UOpRing struct {
 	buf  []*UOp
 	head int
 	n    int
+	cap  int
 }
 
-// NewUOpRing returns an empty ring with capacity for at least capHint uops.
-func NewUOpRing(capHint int) *UOpRing {
-	c := 8
-	for c < capHint {
+// NewUOpRing returns an empty ring that holds at most capacity uops.
+func NewUOpRing(capacity int) *UOpRing {
+	c := 1
+	for c < capacity {
 		c <<= 1
 	}
-	return &UOpRing{buf: make([]*UOp, c)}
+	return &UOpRing{buf: make([]*UOp, c), cap: capacity}
 }
+
+// Cap returns the most uops the ring holds.
+//
+//smtfetch:hotpath
+func (r *UOpRing) Cap() int { return r.cap }
+
+// Full reports whether the ring holds Cap uops.
+//
+//smtfetch:hotpath
+func (r *UOpRing) Full() bool { return r.n >= r.cap }
 
 // Len returns the number of queued uops.
 //
@@ -37,12 +50,13 @@ func (r *UOpRing) At(i int) *UOp {
 	return r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
-// Push appends u at the tail, growing the ring if full.
+// Push appends u at the tail. Pushing onto a full ring panics: a missing
+// room check upstream is a bug, not a reason to grow.
 //
 //smtfetch:hotpath
 func (r *UOpRing) Push(u *UOp) {
-	if r.n == len(r.buf) {
-		r.grow()
+	if r.n >= r.cap {
+		panic("pipeline: UOpRing overflow")
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = u
 	r.n++
@@ -103,16 +117,4 @@ func (r *UOpRing) Clear() {
 		r.buf[(r.head+i)&mask] = nil
 	}
 	r.head, r.n = 0, 0
-}
-
-//smtfetch:hotpath
-func (r *UOpRing) grow() {
-	//smtfetch:allowalloc ring doubling: amortized one-time growth to the high-water mark, then never again
-	bigger := make([]*UOp, 2*len(r.buf))
-	mask := len(r.buf) - 1
-	for i := 0; i < r.n; i++ {
-		bigger[i] = r.buf[(r.head+i)&mask]
-	}
-	r.buf = bigger
-	r.head = 0
 }

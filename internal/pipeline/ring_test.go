@@ -7,9 +7,11 @@ import (
 
 // TestUOpRingMatchesSliceModel drives a ring and a reference slice through
 // the same randomized operation sequence (fixed seed) and requires
-// identical observable state throughout, including across growth.
+// identical observable state throughout, including at capacity and across
+// wraparound.
 func TestUOpRingMatchesSliceModel(t *testing.T) {
-	r := NewUOpRing(2)
+	const capacity = 24 // not a power of two: Cap, not the backing size, bounds the ring
+	r := NewUOpRing(capacity)
 	var model []*UOp
 	rng := rand.New(rand.NewSource(42))
 	next := 0
@@ -18,6 +20,9 @@ func TestUOpRingMatchesSliceModel(t *testing.T) {
 		t.Helper()
 		if r.Len() != len(model) {
 			t.Fatalf("%s: Len = %d, model %d", op, r.Len(), len(model))
+		}
+		if r.Full() != (len(model) == capacity) {
+			t.Fatalf("%s: Full = %v at Len %d, capacity %d", op, r.Full(), len(model), capacity)
 		}
 		for i := range model {
 			if r.At(i) != model[i] {
@@ -28,7 +33,10 @@ func TestUOpRingMatchesSliceModel(t *testing.T) {
 
 	for step := 0; step < 20_000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 4: // push
+		case op < 4: // push, when there is room
+			if r.Full() {
+				continue
+			}
 			u := &UOp{GSeq: uint64(next)}
 			next++
 			r.Push(u)
@@ -74,6 +82,24 @@ func TestUOpRingMatchesSliceModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUOpRingOverflowPanics pins the fixed capacity: a ring never grows,
+// so a push past Cap is a missing backpressure check and must panic.
+func TestUOpRingOverflowPanics(t *testing.T) {
+	r := NewUOpRing(3)
+	for i := 0; i < 3; i++ {
+		r.Push(&UOp{})
+	}
+	if r.Cap() != 3 || !r.Full() {
+		t.Fatalf("Cap %d Full %v after 3 pushes", r.Cap(), r.Full())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push onto a full ring did not panic")
+		}
+	}()
+	r.Push(&UOp{})
 }
 
 func TestUOpRingEmptyPops(t *testing.T) {

@@ -299,6 +299,9 @@ func (p *Program) buildInstr(r *rng.Rand, pf Profile) staticInstr {
 	return in
 }
 
+// MaxDepDist is the largest dependence distance a program carries.
+const MaxDepDist = 48
+
 // depDist draws a dependence distance; 0 (no dependence) appears for a
 // small fraction of instructions (immediates, loads of globals).
 func depDist(r *rng.Rand, mean float64) uint16 {
@@ -306,8 +309,8 @@ func depDist(r *rng.Rand, mean float64) uint16 {
 		return 0
 	}
 	d := r.Geometric(mean)
-	if d > 48 {
-		d = 48
+	if d > MaxDepDist {
+		d = MaxDepDist
 	}
 	return uint16(d)
 }

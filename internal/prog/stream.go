@@ -135,7 +135,7 @@ func (s *Stream) gen() isa.Instruction {
 		}
 		if si.mem != nil {
 			in.EffAddr = s.memAddr(si)
-			if si.mem.chase && s.sinceLoad < 48 {
+			if si.mem.chase && s.sinceLoad < MaxDepDist {
 				// Pointer chase: address depends on the previous load.
 				in.Dep1 = uint16(s.sinceLoad)
 			}

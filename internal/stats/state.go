@@ -29,6 +29,7 @@ func (s *Stats) EncodeState(w *snap.Writer) {
 		w.U64(ts.CondBranches)
 		w.U64(ts.CondMispredicts)
 		w.U64(ts.ICacheMissStall)
+		w.U64(ts.Replayed)
 	}
 	w.U64(s.CondBranches)
 	w.U64(s.CondMispredicts)
@@ -89,6 +90,7 @@ func (s *Stats) DecodeState(r *snap.Reader) {
 		ts.CondBranches = r.U64()
 		ts.CondMispredicts = r.U64()
 		ts.ICacheMissStall = r.U64()
+		ts.Replayed = r.U64()
 	}
 	s.CondBranches = r.U64()
 	s.CondMispredicts = r.U64()

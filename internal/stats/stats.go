@@ -87,6 +87,9 @@ type ThreadStats struct {
 	CondBranches    uint64
 	CondMispredicts uint64
 	ICacheMissStall uint64 // cycles the thread was blocked on an I-cache miss
+	// Replayed counts the thread's FLUSH redeliveries; each is also
+	// counted in Fetched a second time.
+	Replayed uint64
 }
 
 // New returns a Stats sized for nthreads and the given maximum per-cycle

@@ -349,18 +349,32 @@ func (s *Simulator) Warm() {
 
 // Measure resets statistics and runs the measurement phase — in full
 // detail by default, SMARTS-style sampled when Options.Sample is set.
+// Instruction conservation (core.Sim.CheckFlow) is checked at both ends
+// of the phase, so a result never comes from a leaking pipeline.
 func (s *Simulator) Measure() (*Result, error) {
+	if err := s.sim.CheckFlow(); err != nil {
+		return nil, fmt.Errorf("smtfetch: after warm-up: %w", err)
+	}
 	s.sim.ResetStats()
+	var res *Result
 	if !s.opts.Sample.Enabled() {
 		st := s.sim.Run(s.opts.MeasureInstrs, s.opts.MaxCycles)
-		return &Result{
+		res = &Result{
 			IPC:          st.IPC(),
 			IPFC:         st.IPFC(),
 			CondAccuracy: st.CondAccuracy(),
 			Stats:        st,
-		}, nil
+		}
+	} else {
+		var err error
+		if res, err = s.measureSampled(); err != nil {
+			return nil, err
+		}
 	}
-	return s.measureSampled()
+	if err := s.sim.CheckFlow(); err != nil {
+		return nil, fmt.Errorf("smtfetch: after measurement: %w", err)
+	}
+	return res, nil
 }
 
 // measureSampled alternates detail intervals with drain + functional
