@@ -185,13 +185,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	if spec.asJSON {
-		snap := res.Stats.Snapshot()
-		r := experiment.Result{
-			Workload: spec.cell.Workload, Engine: spec.cell.Engine.String(),
-			Policy: spec.cell.Policy.String(), Seed: spec.cell.Seed,
-			IPC: res.IPC, IPFC: res.IPFC, CondAccuracy: res.CondAccuracy, Stats: &snap,
-			SampleIntervals: res.SampleIntervals, IPCCI95: res.IPCCI95,
-		}
+		r := experiment.NewResult(spec.cell, res, nil)
 		return experiment.WriteJSON(os.Stdout, []experiment.Result{r})
 	}
 	ci := ""
@@ -323,17 +317,8 @@ func parseSweepFlags(args []string) (*sweepSpec, error) {
 		return nil, err
 	}
 	spec.sweep.Seeds = seedList
-	spec.request = server.SweepRequest{
-		Engines:       splitList(*engines),
-		Policies:      splitList(*policies),
-		Workloads:     spec.sweep.Workloads,
-		Seeds:         spec.sweep.Seeds,
-		WarmupInstrs:  *warmup,
-		WarmupCycles:  *warmupCycles,
-		MeasureInstrs: *measure,
-		MaxCycles:     *maxCycles,
-		Sample:        *sample,
-		WarmFork:      *warmFork,
+	if spec.request, err = server.NewSweepRequest(&spec.sweep); err != nil {
+		return nil, err
 	}
 	return spec, nil
 }

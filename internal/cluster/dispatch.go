@@ -38,6 +38,16 @@ func (co *Coordinator) fetchCell(sw *experiment.Sweep, fp string, c experiment.C
 // as-is (re-dispatching it elsewhere would deterministically fail the
 // same way).
 func (co *Coordinator) dispatchCell(sw *experiment.Sweep, c experiment.Cell) experiment.Result {
+	// A single-cell request carrying every key-document input of the
+	// sweep, so the worker caches the cell under exactly the key a
+	// whole-grid request for the same sweep would use.
+	req, err := server.NewSweepRequest(sw)
+	if err != nil {
+		return experiment.NewResult(c, nil, fmt.Errorf("cluster: cell %s: %w", c.Key(), err))
+	}
+	req.Workloads, req.Seeds = []string{c.Workload}, []uint64{c.Seed}
+	req.Engines, req.Policies = []string{c.Engine.String()}, []string{c.Policy.String()}
+
 	ranked := co.rank(routingKey(sw, c))
 	tried := make(map[*worker]bool, len(ranked))
 	var lastErr error
@@ -47,21 +57,14 @@ func (co *Coordinator) dispatchCell(sw *experiment.Sweep, c experiment.Cell) exp
 				continue
 			}
 			tried[wk] = true
-			res, err := co.tryWorker(wk, sw, c)
+			res, err := co.tryWorker(wk, req, c)
 			if err == nil {
 				return res
 			}
 			lastErr = err
 		}
 	}
-	r := experiment.Result{
-		Workload: c.Workload,
-		Engine:   c.Engine.String(),
-		Policy:   c.Policy.String(),
-		Seed:     c.Seed,
-	}
-	r.Error = fmt.Sprintf("cluster: no worker could run cell %s: %v", c.Key(), lastErr)
-	return r
+	return experiment.NewResult(c, nil, fmt.Errorf("cluster: no worker could run cell %s: %v", c.Key(), lastErr))
 }
 
 // tryWorker runs one cell on one worker via the ordinary sweep-server
@@ -70,9 +73,9 @@ func (co *Coordinator) dispatchCell(sw *experiment.Sweep, c experiment.Cell) exp
 // all-async ones). A transport failure, HTTP error, or malformed
 // response marks the worker dead — with its probe backoff started — and
 // is returned so the caller re-dispatches.
-func (co *Coordinator) tryWorker(wk *worker, sw *experiment.Sweep, c experiment.Cell) (experiment.Result, error) {
+func (co *Coordinator) tryWorker(wk *worker, req server.SweepRequest, c experiment.Cell) (experiment.Result, error) {
 	wk.noteDispatch()
-	blob, err := wk.client.Sweep(cellRequest(sw, c))
+	blob, err := wk.client.Sweep(req)
 	if err != nil {
 		co.noteFailure(wk, err)
 		return experiment.Result{}, fmt.Errorf("worker %s: %w", wk.url, err)
@@ -90,23 +93,4 @@ func (co *Coordinator) tryWorker(wk *worker, sw *experiment.Sweep, c experiment.
 	}
 	wk.noteSuccess()
 	return rs[0], nil
-}
-
-// cellRequest phrases one cell as a single-cell sweep request carrying
-// the sweep's phase lengths, sampling spec, and warm-fork mode — every
-// fingerprint component — so the worker caches the cell under exactly
-// the key a whole-grid request for the same sweep would use.
-func cellRequest(sw *experiment.Sweep, c experiment.Cell) server.SweepRequest {
-	return server.SweepRequest{
-		Workloads:     []string{c.Workload},
-		Engines:       []string{c.Engine.String()},
-		Policies:      []string{c.Policy.String()},
-		Seeds:         []uint64{c.Seed},
-		WarmupInstrs:  sw.WarmupInstrs,
-		WarmupCycles:  sw.WarmupCycles,
-		MeasureInstrs: sw.MeasureInstrs,
-		MaxCycles:     sw.MaxCycles,
-		Sample:        sw.Sample,
-		WarmFork:      sw.WarmFork,
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sync"
 
@@ -116,26 +117,44 @@ type Sweep struct {
 	snap *snapMemo //smtfetch:nonsemantic per-run checkpoint memo, execution mechanics
 }
 
+// axes returns the grid axes with the paper defaults filled in.
+func (s *Sweep) axes() (engines []config.Engine, policies []config.FetchPolicy, workloads []string, seeds []uint64) {
+	engines, policies, workloads, seeds = s.Engines, s.Policies, s.Workloads, s.Seeds
+	if len(engines) == 0 {
+		engines = config.Engines()
+	}
+	if len(policies) == 0 {
+		policies = config.FetchPolicies()
+	}
+	if len(workloads) == 0 {
+		workloads = bench.WorkloadNames()
+	}
+	if len(seeds) == 0 {
+		seeds = []uint64{1}
+	}
+	return engines, policies, workloads, seeds
+}
+
+// GridSize is the number of cells the grid spans before the filter,
+// computed without expanding it. It saturates at math.MaxInt, so a caller
+// can bound a grid of any size before paying for its expansion.
+func (s *Sweep) GridSize() int {
+	engines, policies, workloads, seeds := s.axes()
+	n := 1
+	for _, l := range []int{len(engines), len(policies), len(workloads), len(seeds)} {
+		if n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
+}
+
 // Cells expands the grid into its cell list in deterministic order
 // (workload, then engine, then policy, then seed, each axis in the order
 // given) after applying the filter.
 func (s *Sweep) Cells() []Cell {
-	engines := s.Engines
-	if len(engines) == 0 {
-		engines = config.Engines()
-	}
-	policies := s.Policies
-	if len(policies) == 0 {
-		policies = config.FetchPolicies()
-	}
-	workloads := s.Workloads
-	if len(workloads) == 0 {
-		workloads = bench.WorkloadNames()
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
-	}
+	engines, policies, workloads, seeds := s.axes()
 	cells := make([]Cell, 0, len(workloads)*len(engines)*len(policies)*len(seeds))
 	for _, w := range workloads {
 		for _, e := range engines {

@@ -22,14 +22,9 @@ package experiment
 // byte-identical output files (CI compares them with cmp).
 
 import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"sync"
 
-	"smtfetch"
 	"smtfetch/internal/config"
-	"smtfetch/internal/core"
 	"smtfetch/internal/flight"
 )
 
@@ -52,54 +47,6 @@ const (
 func canonicalCell(c Cell) Cell {
 	c.Policy.Policy = config.ICount
 	return c
-}
-
-// WarmKey identifies a warm checkpoint: a hex FNV-64a over a canonical
-// JSON document of everything that shapes warmed state. WarmupInstrs and
-// WarmupCycles are explicit, documented components — changing either
-// changes the key, so a sweep with a different warm-up length can never
-// be served a stale checkpoint (the cache-miss regression test pins
-// this). The machine description keeps its engine and canonical policy,
-// unlike server.Fingerprint's result keys, because warmed predictor and
-// cache state depends on both. The snapshot format version is folded in
-// so format bumps invalidate cached blobs instead of failing restores.
-func (s *Sweep) WarmKey(c Cell) string {
-	return s.warmKeyAt(core.SnapshotVersion, c)
-}
-
-// warmKeyAt is WarmKey with an explicit snapshot format version, split out
-// so tests can pin that the version is a live key component (a format bump
-// must change every warm key).
-func (s *Sweep) warmKeyAt(snapshotVersion int, c Cell) string {
-	canon := canonicalCell(c)
-	mc := config.Default()
-	if s.Machine != nil {
-		mc = *s.Machine
-	}
-	mc.Engine = canon.Engine
-	mc.FetchPolicy = canon.Policy
-	doc := struct {
-		SnapshotVersion int           `json:"snapshot_version"`
-		Cell            string        `json:"cell"`
-		WarmupInstrs    uint64        `json:"warmup_instrs"`
-		WarmupCycles    uint64        `json:"warmup_cycles"`
-		MaxCycles       uint64        `json:"max_cycles"`
-		Machine         config.Config `json:"machine"`
-	}{
-		SnapshotVersion: snapshotVersion,
-		Cell:            canon.Key(),
-		WarmupInstrs:    s.WarmupInstrs,
-		WarmupCycles:    s.WarmupCycles,
-		MaxCycles:       s.MaxCycles,
-		Machine:         mc,
-	}
-	b, err := json.Marshal(doc)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: warm key not serializable: %v", err))
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // snapMemo holds the warm checkpoints built so far in this sweep, keyed
@@ -135,73 +82,4 @@ func (s *Sweep) snapshotFor(key string, build func() ([]byte, error)) ([]byte, e
 		}
 		return blob, err
 	})
-}
-
-// runWarmFork executes one cell in a warm-fork mode. Both modes build the
-// measuring simulator from identical options (canonical policy, group
-// seed); they differ only in how it reaches the warmed state — rerun
-// simulates the warm-up, fork restores the group checkpoint — after which
-// both switch to the cell's policy and measure.
-func runWarmFork(s *Sweep, c Cell) Result {
-	r := Result{
-		Workload: c.Workload,
-		Engine:   c.Engine.String(),
-		Policy:   c.Policy.String(),
-		Seed:     c.Seed,
-	}
-	fail := func(err error) Result {
-		r.Error = err.Error()
-		return r
-	}
-	sample, err := smtfetch.ParseSample(s.Sample)
-	if err != nil {
-		return fail(err)
-	}
-	canon := canonicalCell(c)
-	opts := smtfetch.Options{
-		Workload:      c.Workload,
-		Engine:        c.Engine,
-		Policy:        canon.Policy,
-		Seed:          CellSeed(canon),
-		WarmupInstrs:  s.WarmupInstrs,
-		WarmupCycles:  s.WarmupCycles,
-		MeasureInstrs: s.MeasureInstrs,
-		MaxCycles:     s.MaxCycles,
-		Machine:       s.Machine,
-		Sample:        sample,
-	}
-	sim, err := smtfetch.New(opts)
-	if err != nil {
-		return fail(err)
-	}
-	switch s.WarmFork {
-	case WarmForkRerun:
-		sim.Warm()
-	case WarmForkFork:
-		blob, err := s.snapshotFor(s.WarmKey(c), func() ([]byte, error) {
-			warm, err := smtfetch.New(opts)
-			if err != nil {
-				return nil, err
-			}
-			warm.Warm()
-			return warm.Core().Snapshot()
-		})
-		if err != nil {
-			return fail(fmt.Errorf("warm checkpoint: %w", err))
-		}
-		if err := sim.Core().Restore(blob); err != nil {
-			return fail(fmt.Errorf("warm checkpoint restore: %w", err))
-		}
-	default:
-		return fail(fmt.Errorf("experiment: unknown warm-fork mode %q", s.WarmFork))
-	}
-	if err := sim.Core().SetPolicy(c.Policy); err != nil {
-		return fail(err)
-	}
-	res, err := sim.Measure()
-	if err != nil {
-		return fail(err)
-	}
-	fillResult(&r, res)
-	return r
 }

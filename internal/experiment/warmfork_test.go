@@ -218,6 +218,25 @@ func TestWarmKeyComponents(t *testing.T) {
 	for _, check := range diffs {
 		check()
 	}
+
+	// What only the measured phase reads, the warm-fork mode (fork and
+	// rerun warm identically) and the machine's engine and policy fields
+	// (every cell overrides them; the canonical cell key carries both)
+	// must not split it, or cells that share a warm-up would each build
+	// their own checkpoint.
+	mc := config.Default()
+	mc.Engine = config.StreamFetch
+	mc.FetchPolicy = config.FetchPolicy{Policy: config.Flush, Threads: 2, Width: 8}
+	for name, other := range map[string]*Sweep{
+		"measure instrs":         {WarmupInstrs: 10_000, WarmupCycles: 500, MeasureInstrs: 30_000},
+		"sample":                 {WarmupInstrs: 10_000, WarmupCycles: 500, Sample: "detail:1000,skip:9000"},
+		"warm-fork mode":         {WarmupInstrs: 10_000, WarmupCycles: 500, WarmFork: WarmForkRerun},
+		"machine engine, policy": {WarmupInstrs: 10_000, WarmupCycles: 500, Machine: &mc},
+	} {
+		if base.WarmKey(cell) != other.WarmKey(cell) {
+			t.Errorf("%s split the warm key", name)
+		}
+	}
 }
 
 func TestSweepRejectsBadSampleAndWarmFork(t *testing.T) {

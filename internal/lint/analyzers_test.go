@@ -32,6 +32,5 @@ func TestStateCov(t *testing.T) {
 
 func TestKeyCov(t *testing.T) {
 	linttest.Run(t, "testdata/keycov", lint.KeyCov,
-		"smtfetch/internal/experiment", "smtfetch/internal/config",
-		"smtfetch/internal/server")
+		"smtfetch/internal/experiment", "smtfetch/internal/config")
 }

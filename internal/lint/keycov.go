@@ -12,137 +12,59 @@ import (
 // Package paths the key-coverage check is anchored to.
 const (
 	experimentPkgPath = "smtfetch/internal/experiment"
-	serverPkgPath     = "smtfetch/internal/server"
 	configPkgPath     = "smtfetch/internal/config"
 )
 
 // KeyCov proves cache-key completeness: every field of experiment.Sweep
-// must flow into server.Fingerprint and/or Sweep.WarmKey (or be annotated
+// must flow into the key document Sweep.KeyDoc builds (or be annotated
 // //smtfetch:nonsemantic), and every field of config.Config must actually
-// reach the JSON both keys marshal. A new knob that changes simulation
-// output but not the cache key is a fleet-wide stale-cache incident; this
-// analyzer turns it into a compile-time error instead.
+// reach the JSON the document marshals. Both cache keys are hashes of that
+// document, so a new knob that changes simulation output but not the
+// document is a fleet-wide stale-cache incident; this analyzer turns it
+// into a compile-time error instead.
 var KeyCov = &analysis.Analyzer{
 	Name: "keycov",
 	Doc: "prove every sweep and config field flows into the cache keys\n\n" +
-		"In package experiment, each field of Sweep is classified: referenced\n" +
-		"by WarmKey's same-package closure, annotated\n" +
-		"//smtfetch:nonsemantic <why> (grid axes are the cell identity;\n" +
-		"execution mechanics do not change results), or neither. The\n" +
-		"classification is exported as a package fact. In package server,\n" +
-		"fields covered by neither WarmKey, the annotation, nor Fingerprint's\n" +
-		"closure are reported. In package config, every field reachable from\n" +
-		"Config by value must be exported and not json-skipped — Fingerprint\n" +
-		"and WarmKey marshal the whole struct, so an invisible field silently\n" +
-		"never reaches either key.",
-	FactTypes: []analysis.Fact{(*sweepCoverage)(nil)},
-	Run:       runKeyCov,
-}
-
-// sweepField is one field of experiment.Sweep as seen by the experiment
-// half of the check.
-type sweepField struct {
-	Name        string
-	InWarmKey   bool
-	Nonsemantic bool
-}
-
-// sweepCoverage is the package fact experiment exports for server: the
-// per-field WarmKey/annotation classification of the Sweep struct.
-type sweepCoverage struct {
-	Fields []sweepField
-}
-
-func (*sweepCoverage) AFact() {}
-func (c *sweepCoverage) String() string {
-	names := make([]string, 0, len(c.Fields))
-	for _, f := range c.Fields {
-		names = append(names, f.Name)
-	}
-	return "sweep fields " + strings.Join(names, ",")
+		"In package experiment, each field of Sweep must be referenced by\n" +
+		"KeyDoc's same-package closure — the one key document both cache\n" +
+		"keys hash — or be annotated //smtfetch:nonsemantic <why> (grid axes\n" +
+		"are the cell identity; execution mechanics do not change results).\n" +
+		"In package config, every field reachable from Config by value must\n" +
+		"be exported and not json-skipped — the key document marshals the\n" +
+		"whole struct, so an invisible field silently never reaches it.",
+	Run: runKeyCov,
 }
 
 func runKeyCov(pass *analysis.Pass) (interface{}, error) {
 	switch pass.Pkg.Path() {
 	case experimentPkgPath:
 		runKeyCovExperiment(pass)
-	case serverPkgPath:
-		runKeyCovServer(pass)
 	case configPkgPath:
 		runKeyCovConfig(pass)
 	}
 	return nil, nil
 }
 
-// runKeyCovExperiment classifies Sweep's fields and exports the fact. The
-// reporting happens in package server, where Fingerprint's coverage is
-// visible too.
+// runKeyCovExperiment reports each Sweep field that KeyDoc's closure never
+// reads and that carries no nonsemantic annotation, at the field itself.
 func runKeyCovExperiment(pass *analysis.Pass) {
 	dirs := collectDirectives(pass)
 	named, st := lookupStruct(pass.Pkg, "Sweep")
 	if named == nil {
 		return
 	}
-	inWarmKey := make([]bool, st.NumFields())
-	funcs := sameClosureByName(pass, "WarmKey")
+	inKeyDoc := make([]bool, st.NumFields())
+	funcs := sameClosureByName(pass, "KeyDoc")
 	markFieldRefs(pass, funcs, map[*types.Named]*types.Struct{named: st}, func(_ *types.Named, i int) {
-		inWarmKey[i] = true
+		inKeyDoc[i] = true
 	})
-	fact := &sweepCoverage{}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		fact.Fields = append(fact.Fields, sweepField{
-			Name:        f.Name(),
-			InWarmKey:   inWarmKey[i],
-			Nonsemantic: dirs.lineHas(f.Pos(), dirNonsemantic),
-		})
-	}
-	pass.ExportPackageFact(fact)
-}
-
-// runKeyCovServer imports experiment's Sweep classification, adds
-// Fingerprint's own coverage, and reports any field reaching neither key.
-// Diagnostics anchor at the Fingerprint declaration: that is where the
-// missing hash component belongs.
-func runKeyCovServer(pass *analysis.Pass) {
-	var expPkg *types.Package
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Path() == experimentPkgPath {
-			expPkg = imp
-			break
-		}
-	}
-	if expPkg == nil {
-		return
-	}
-	var cov sweepCoverage
-	if !pass.ImportPackageFact(expPkg, &cov) {
-		return
-	}
-	named, st := lookupStruct(expPkg, "Sweep")
-	if named == nil {
-		return
-	}
-
-	fpDecl := funcDeclByName(pass, "Fingerprint")
-	if fpDecl == nil {
-		return
-	}
-	inFingerprint := make([]bool, st.NumFields())
-	funcs := sameClosureByName(pass, "Fingerprint")
-	markFieldRefs(pass, funcs, map[*types.Named]*types.Struct{named: st}, func(_ *types.Named, i int) {
-		inFingerprint[i] = true
-	})
-
-	for i, f := range cov.Fields {
-		if i >= len(inFingerprint) {
-			break // fact and type disagree (mid-refactor); the clean build re-checks
-		}
-		if f.InWarmKey || f.Nonsemantic || inFingerprint[i] {
+		if inKeyDoc[i] || dirs.lineHas(f.Pos(), dirNonsemantic) {
 			continue
 		}
-		pass.Reportf(fpDecl.Name.Pos(), "experiment.Sweep.%s flows into neither server.Fingerprint nor Sweep.WarmKey: hash it into a key or annotate the field %s%s <why it cannot change results>",
-			f.Name, directivePrefix, dirNonsemantic)
+		pass.Reportf(f.Pos(), "experiment.Sweep.%s never reaches the key document: read it in Sweep.KeyDoc or annotate the field %s%s <why it cannot change results>",
+			f.Name(), directivePrefix, dirNonsemantic)
 	}
 }
 
@@ -175,7 +97,7 @@ func runKeyCovConfig(pass *analysis.Pass) {
 				if jsonSkipped {
 					why = "is tagged json:\"-\""
 				}
-				pass.Reportf(f.Pos(), "config field %s.%s %s and never reaches the cache keys (Fingerprint and WarmKey marshal the whole config): export it into the JSON or annotate it %s%s <why>",
+				pass.Reportf(f.Pos(), "config field %s.%s %s and never reaches the cache keys (the key document marshals the whole config): export it into the JSON or annotate it %s%s <why>",
 					named.Obj().Name(), f.Name(), why, directivePrefix, dirNonsemantic)
 			}
 			if sub := derefNamed(f.Type()); sub != nil && sub.Obj().Pkg() == pass.Pkg {
@@ -213,18 +135,6 @@ func lookupStruct(pkg *types.Package, name string) (*types.Named, *types.Struct)
 		return nil, nil
 	}
 	return named, st
-}
-
-// funcDeclByName finds a package-level function or method declaration.
-func funcDeclByName(pass *analysis.Pass, name string) *ast.FuncDecl {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == name && !isTestFile(pass.Fset, fd.Pos()) {
-				return fd
-			}
-		}
-	}
-	return nil
 }
 
 // sameClosureByName returns the function(s) with the given name plus every

@@ -1,4 +1,4 @@
-// Package config is a fixture stand-in: both cache keys marshal the whole
+// Package config is a fixture stand-in: the key document marshals the whole
 // Config, so every field reachable from it must be visible to
 // encoding/json or be annotated nonsemantic.
 package config

@@ -7,59 +7,28 @@
 // The cache key is the pair (sweep fingerprint, cell key). The cell key is
 // already content-derived (workload/engine/policy/seed) and the simulator
 // is deterministic, so two requests that agree on the fingerprint — the
-// phase lengths, machine configuration, and result schema — must produce
+// hash of the sweep's key document (experiment.Sweep.KeyDoc) — must produce
 // bit-identical results for a shared cell. That makes cache hits
 // indistinguishable from re-execution, byte for byte.
 package server
 
 import (
 	"container/list"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"smtfetch/internal/config"
 	"smtfetch/internal/experiment"
 )
 
-// Fingerprint hashes everything besides the cell identity that determines
-// a cell's result: the simulation phase lengths (WarmupInstrs and
-// WarmupCycles are explicit fields — a sweep with a different warm-up can
-// never be served another warm-up's cells), the sampling spec, the
-// warm-fork mode (it changes seed derivation), the machine configuration
-// (with the engine/policy fields zeroed — the cell key carries those), and
-// the result schema version. Sweeps with equal fingerprints may share
-// cached cells.
+// Fingerprint is the result-cache half of a cell's content key: the hash
+// of the sweep's key document (experiment.Sweep.KeyDoc), which holds
+// everything besides the cell identity that determines a cell's result.
+// Sweeps with equal fingerprints may share cached cells.
 func Fingerprint(s *experiment.Sweep) string {
-	mc := config.Default()
-	if s.Machine != nil {
-		mc = *s.Machine
-	}
-	// Engine and policy vary per cell and are overwritten by the runner;
-	// canonicalize them out so they cannot split the cache.
-	mc.Engine = 0
-	mc.FetchPolicy = config.FetchPolicy{}
-	blob, err := json.Marshal(struct {
-		ResultSchema  int
-		WarmupInstrs  uint64
-		WarmupCycles  uint64
-		MeasureInstrs uint64
-		MaxCycles     uint64
-		Sample        string
-		WarmFork      string
-		Machine       config.Config
-	}{experiment.SchemaVersion, s.WarmupInstrs, s.WarmupCycles, s.MeasureInstrs, s.MaxCycles, s.Sample, s.WarmFork, mc})
-	if err != nil {
-		// config.Config is a plain struct of scalars; this cannot fail.
-		panic(fmt.Sprintf("server: fingerprint marshal: %v", err))
-	}
-	h := fnv.New64a()
-	h.Write(blob)
-	return hex.EncodeToString(h.Sum(nil))
+	return s.KeyDoc().Hash()
 }
 
 // CacheKey is the full content key of one cached cell.

@@ -7,21 +7,21 @@ import (
 	"smtfetch/internal/experiment"
 )
 
-// The two cache keys canonicalize the same axes the same way: both strip
-// the policy heuristic (the cell key resp. the canonical ICOUNT warm-up
-// carries it), and both are moved by any genuinely semantic machine knob.
-// If a new axis is canonicalized in one key but not the other, fork and
-// rerun sweeps could agree while the result and snapshot cache tiers
-// disagree about which cells are interchangeable.
+// The two cache keys canonicalize the same axes the same way — both hash
+// the one key document, whose machine has its engine and policy zeroed —
+// and both are moved by any genuinely semantic machine knob. If an axis
+// were canonicalized in one key but not the other, fork and rerun sweeps
+// could agree while the result and snapshot cache tiers disagree about
+// which cells are interchangeable.
 func TestFingerprintAndWarmKeyCanonicalizeAlike(t *testing.T) {
 	base := func() *experiment.Sweep {
 		return &experiment.Sweep{WarmupInstrs: 10_000, WarmupCycles: 500}
 	}
 	cell := experiment.Cell{Workload: "2_MIX", Engine: config.GShareBTB, Policy: config.ICount28, Seed: 1}
 
-	// Policy heuristic: canonicalized out of both keys. Fingerprint zeroes
-	// Machine.FetchPolicy (the cell key carries the policy); WarmKey
-	// replaces it with the canonical ICOUNT policy of the same shape.
+	// Policy heuristic: canonicalized out of both keys. The key document
+	// zeroes Machine.FetchPolicy; the cell key carries the policy, and
+	// WarmKey's canonical cell the ICOUNT policy of the same shape.
 	icount := base()
 	flush := base()
 	mc := config.Default()
@@ -71,5 +71,31 @@ func TestFingerprintAndWarmKeyCanonicalizeAlike(t *testing.T) {
 	}
 	if base().WarmKey(cell) == big.WarmKey(cell) {
 		t.Error("WarmKey ignores a semantic machine knob (ROBSize)")
+	}
+}
+
+// Fingerprint values are persisted: a server's cache file is keyed by
+// them, so a change orphans every stored cell. These were measured before
+// the key document replaced Fingerprint's own field list, and pin that
+// the document hashes byte-identically.
+func TestFingerprintGolden(t *testing.T) {
+	mc := config.Default()
+	mc.ROBSize *= 2
+	mc.Engine = config.StreamFetch
+	for _, tc := range []struct {
+		name string
+		sw   *experiment.Sweep
+		want string
+	}{
+		{"zero sweep", &experiment.Sweep{}, "a20138eec47df78e"},
+		{"phase lengths, sample, fork", &experiment.Sweep{
+			WarmupInstrs: 10000, WarmupCycles: 500, MeasureInstrs: 20000, MaxCycles: 7,
+			Sample: "detail:1000,skip:49000", WarmFork: experiment.WarmForkFork,
+		}, "ff653b05bc41d73f"},
+		{"machine override, rerun", &experiment.Sweep{Machine: &mc, WarmFork: experiment.WarmForkRerun}, "8bb403a1fa045d57"},
+	} {
+		if got := Fingerprint(tc.sw); got != tc.want {
+			t.Errorf("%s: Fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

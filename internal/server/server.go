@@ -40,9 +40,15 @@ type SweepRequest struct {
 	Async bool `json:"async,omitempty"`
 }
 
+// MaxGridCells caps the grid a sweep request may span. A body under the
+// size cap can still list about 10⁵ seeds; the cap is checked on the axis
+// lengths, before the grid is expanded, so such a request costs nothing.
+const MaxGridCells = 1 << 16
+
 // Sweep converts the request into an experiment grid, resolving the
-// engine and policy spellings. The server's worker-pool bound is applied
-// by the caller, not the request: clients don't control server load.
+// engine and policy spellings and rejecting a grid over MaxGridCells. The
+// server's worker-pool bound is applied by the caller, not the request:
+// clients don't control server load.
 func (r SweepRequest) Sweep() (*experiment.Sweep, error) {
 	sw := &experiment.Sweep{
 		Workloads:     r.Workloads,
@@ -68,7 +74,41 @@ func (r SweepRequest) Sweep() (*experiment.Sweep, error) {
 		}
 		sw.Policies = append(sw.Policies, p)
 	}
+	if n := sw.GridSize(); n > MaxGridCells {
+		return nil, fmt.Errorf("grid spans %d cells, over the %d-cell cap (MaxGridCells); split it into smaller requests", n, MaxGridCells)
+	}
 	return sw, nil
+}
+
+// NewSweepRequest phrases a sweep as a request, the inverse of
+// SweepRequest.Sweep. Execution mechanics (Jobs, OnResult,
+// SnapshotSource) stay local. A sweep a request cannot carry — a machine
+// override or a cell filter — is an error rather than a silently
+// different grid.
+func NewSweepRequest(sw *experiment.Sweep) (SweepRequest, error) {
+	if sw.Machine != nil {
+		return SweepRequest{}, errors.New("server: a sweep request cannot carry a machine override")
+	}
+	if sw.Filter != nil {
+		return SweepRequest{}, errors.New("server: a sweep request cannot carry a cell filter")
+	}
+	r := SweepRequest{
+		Workloads:     sw.Workloads,
+		Seeds:         sw.Seeds,
+		WarmupInstrs:  sw.WarmupInstrs,
+		WarmupCycles:  sw.WarmupCycles,
+		MeasureInstrs: sw.MeasureInstrs,
+		MaxCycles:     sw.MaxCycles,
+		Sample:        sw.Sample,
+		WarmFork:      sw.WarmFork,
+	}
+	for _, e := range sw.Engines {
+		r.Engines = append(r.Engines, e.String())
+	}
+	for _, p := range sw.Policies {
+		r.Policies = append(r.Policies, p.String())
+	}
+	return r, nil
 }
 
 // Config configures a Server. The zero value is usable: a 4096-entry
