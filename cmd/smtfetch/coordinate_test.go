@@ -17,7 +17,6 @@ func TestParseCoordinateFlags(t *testing.T) {
 		"-workers", "http://a:8080, http://b:8080,",
 		"-sync-limit", "-1",
 		"-jobs", "6",
-		"-window", "12",
 		"-probe-interval", "2s",
 	})
 	if err != nil {
@@ -29,7 +28,7 @@ func TestParseCoordinateFlags(t *testing.T) {
 	if len(cfg.Workers) != 2 || cfg.Workers[0] != "http://a:8080" || cfg.Workers[1] != "http://b:8080" {
 		t.Fatalf("workers = %v", cfg.Workers)
 	}
-	if cfg.SyncCellLimit != -1 || cfg.Jobs != 6 || cfg.Window != 12 || cfg.ProbeInterval != 2*time.Second {
+	if cfg.SyncCellLimit != -1 || cfg.Jobs != 6 || cfg.ProbeInterval != 2*time.Second {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 

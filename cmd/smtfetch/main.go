@@ -525,20 +525,46 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", *addr)
+	var saveErr error
+	err = serveUntilSignal("serve", *addr, "", srv, func() {
+		// Drain running async sweeps so their cells land in the cache
+		// before it is saved, and so polling clients see the jobs finish.
+		srv.WaitJobs()
+		if saveErr = srv.SaveCache(); saveErr == nil && *cacheFile != "" {
+			fmt.Fprintf(os.Stderr, "smtfetch serve: cache saved to %s\n", *cacheFile)
+		}
+	})
+	if saveErr != nil {
+		// Surface the save failure even when Serve itself errored: the
+		// operator must know the warm cache was NOT persisted.
+		if err == nil {
+			return saveErr
+		}
+		fmt.Fprintln(os.Stderr, "smtfetch serve: cache save failed:", saveErr)
+	}
+	return err
+}
+
+// serveUntilSignal listens on addr and serves h until SIGINT or SIGTERM,
+// then shuts down gracefully: the listener closes, in-flight requests get
+// 10 s to finish, and drain runs (it waits for the service's running
+// jobs). A listen failure returns before anything is served or drained.
+// note follows the bound URL on the "listening" line.
+func serveUntilSignal(name, addr, note string, h http.Handler, drain func()) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "smtfetch serve: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "smtfetch %s: listening on http://%s%s\n", name, ln.Addr(), note)
 
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	shutdownDone := make(chan struct{})
 	go func() {
 		defer close(shutdownDone)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		fmt.Fprintln(os.Stderr, "smtfetch serve: shutting down")
+		fmt.Fprintf(os.Stderr, "smtfetch %s: shutting down\n", name)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		httpSrv.Shutdown(ctx)
@@ -547,22 +573,9 @@ func cmdServe(args []string) error {
 	err = httpSrv.Serve(ln)
 	if err == http.ErrServerClosed {
 		<-shutdownDone
-		// Drain running async sweeps so their cells land in the cache
-		// before it is saved, and so polling clients see the jobs finish.
-		srv.WaitJobs()
 		err = nil
 	}
-	if saveErr := srv.SaveCache(); saveErr != nil {
-		// Surface the save failure even when Serve itself errored: the
-		// operator must know the warm cache was NOT persisted.
-		if err == nil {
-			err = saveErr
-		} else {
-			fmt.Fprintln(os.Stderr, "smtfetch serve: cache save failed:", saveErr)
-		}
-	} else if *cacheFile != "" {
-		fmt.Fprintf(os.Stderr, "smtfetch serve: cache saved to %s\n", *cacheFile)
-	}
+	drain()
 	return err
 }
 
@@ -573,8 +586,7 @@ func parseCoordinateFlags(args []string) (addr string, cfg cluster.Config, err e
 	addrFlag := fs.String("addr", "127.0.0.1:8090", "listen address (use :0 for a random port)")
 	workers := fs.String("workers", "", "comma-separated worker base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
 	syncLimit := fs.Int("sync-limit", 16, "largest grid answered synchronously (streamed); bigger grids get a job ID (-1 = everything async)")
-	jobs := fs.Int("jobs", 0, "concurrent cell dispatches across the fleet (0 = 4 per worker)")
-	window := fs.Int("window", 0, "streamed-merge reorder window in cells (0 = 2 x jobs)")
+	jobs := fs.Int("jobs", 0, "concurrent cell dispatches across the fleet (0 = 4 per worker); the streamed merge holds at most 2 x jobs results")
 	probe := fs.Duration("probe-interval", 5*time.Second, "worker health-probe period, and the base of the dead-worker probe backoff")
 	if err := fs.Parse(args); err != nil {
 		return "", cluster.Config{}, err
@@ -587,7 +599,6 @@ func parseCoordinateFlags(args []string) (addr string, cfg cluster.Config, err e
 		Workers:       urls,
 		SyncCellLimit: *syncLimit,
 		Jobs:          *jobs,
-		Window:        *window,
 		ProbeInterval: *probe,
 	}, nil
 }
@@ -617,33 +628,8 @@ func cmdCoordinate(args []string) error {
 	co.Start(cfg.ProbeInterval)
 	defer co.Stop()
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "smtfetch coordinate: listening on http://%s, %d workers\n", ln.Addr(), len(cfg.Workers))
-
-	httpSrv := &http.Server{Handler: co, ReadHeaderTimeout: readHeaderTimeout}
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		fmt.Fprintln(os.Stderr, "smtfetch coordinate: shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(ctx)
-	}()
-
-	err = httpSrv.Serve(ln)
-	if err == http.ErrServerClosed {
-		<-shutdownDone
-		// Drain running grids so polling clients see their jobs finish.
-		co.WaitJobs()
-		err = nil
-	}
-	return err
+	// Drain running grids so polling clients see their jobs finish.
+	return serveUntilSignal("coordinate", addr, fmt.Sprintf(", %d workers", len(cfg.Workers)), co, co.WaitJobs)
 }
 
 func cmdList(args []string) error {

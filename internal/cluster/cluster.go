@@ -18,15 +18,11 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smtfetch/internal/experiment"
@@ -47,15 +43,10 @@ type Config struct {
 	// (streamed); bigger grids get a job ID and polling (< 0 =
 	// everything async, 0 = default 16).
 	SyncCellLimit int
-	// MaxFinishedJobs bounds completed-job retention (<= 0 = 32).
-	MaxFinishedJobs int
 	// Jobs bounds concurrent cell dispatches across the fleet
-	// (<= 0 = 4 × len(Workers)).
+	// (<= 0 = 4 × len(Workers)). The streamed merge holds at most 2 × Jobs
+	// results in flight or ahead of the canonical write position.
 	Jobs int
-	// Window bounds the streamed merge's reorder buffer: at most this
-	// many results are in flight or buffered ahead of the canonical
-	// write position (<= 0 = 2 × Jobs, minimum Jobs).
-	Window int
 	// PollInterval is handed to the per-worker clients for async-job
 	// polling (0 = 200ms). Single-cell dispatches are normally answered
 	// synchronously; this only matters for workers running -sync-limit -1.
@@ -63,36 +54,27 @@ type Config struct {
 	// ProbeInterval is the health-probe period for Start (0 = 5s). It is
 	// also the base of the dead-worker probe backoff: after n consecutive
 	// failures a worker is probed no sooner than ProbeInterval×2^(n-1),
-	// capped at ProbeBackoffMax.
+	// capped at one minute.
 	ProbeInterval time.Duration
-	// ProbeBackoffMax caps the dead-worker probe backoff (0 = 1 minute).
-	ProbeBackoffMax time.Duration
 	// Now replaces time.Now for backoff bookkeeping; tests inject a fake
 	// clock to pin the schedule. Nil means time.Now.
 	Now func() time.Time
 }
 
-// Coordinator is the cluster front end: an http.Handler exposing
+// probeBackoffMax caps the dead-worker probe backoff.
+const probeBackoffMax = time.Minute
+
+// Coordinator is the cluster front end: a server.FrontEnd whose cells are
+// dispatched across the fleet, plus
 //
-//	POST /sweep          run a grid across the fleet (streamed sync body
-//	                     or 202 + job ID)
-//	GET  /jobs/{id}          poll an async sweep (same protocol as server)
-//	GET  /jobs/{id}/results  fetch its results document
 //	GET  /cluster/stats      per-worker health and dispatch counters
-//	GET  /healthz            coordinator liveness
 type Coordinator struct {
+	front     *server.FrontEnd
 	workers   []*worker
-	jobs      *server.JobRegistry
-	syncLimit int
-	poolJobs  int
-	window    int
-	mux       *http.ServeMux
 	httpc     *http.Client
 	probeBase time.Duration
-	probeMax  time.Duration
 	now       func() time.Time
 
-	jobsWG   sync.WaitGroup
 	stopOnce sync.Once
 	stop     chan struct{}
 
@@ -114,24 +96,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if httpc == nil {
 		httpc = &http.Client{Timeout: 5 * time.Minute}
 	}
-	syncLimit := cfg.SyncCellLimit
-	if syncLimit == 0 {
-		syncLimit = 16
-	}
-	maxDone := cfg.MaxFinishedJobs
-	if maxDone <= 0 {
-		maxDone = 32
-	}
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = 4 * len(cfg.Workers)
-	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 2 * jobs
-	}
-	if window < jobs {
-		window = jobs
 	}
 	poll := cfg.PollInterval
 	if poll <= 0 {
@@ -141,22 +108,13 @@ func New(cfg Config) (*Coordinator, error) {
 	if probeBase <= 0 {
 		probeBase = 5 * time.Second
 	}
-	probeMax := cfg.ProbeBackoffMax
-	if probeMax <= 0 {
-		probeMax = time.Minute
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
 	co := &Coordinator{
-		jobs:      server.NewJobRegistry(maxDone),
-		syncLimit: syncLimit,
-		poolJobs:  jobs,
-		window:    window,
 		httpc:     httpc,
 		probeBase: probeBase,
-		probeMax:  probeMax,
 		now:       now,
 		stop:      make(chan struct{}),
 	}
@@ -176,108 +134,28 @@ func New(cfg Config) (*Coordinator, error) {
 			client: &server.Client{BaseURL: u, HTTPClient: httpc, PollInterval: poll},
 		})
 	}
-	co.mux = http.NewServeMux()
-	co.mux.HandleFunc("/sweep", co.handleSweep)
-	co.mux.HandleFunc("/jobs/", co.jobs.HandleHTTP)
-	co.mux.HandleFunc("/cluster/stats", co.handleStats)
-	co.mux.HandleFunc("/healthz", co.handleHealthz)
+	co.front = server.NewFrontEnd(cfg.SyncCellLimit, jobs, co.source)
+	co.front.Handle("/cluster/stats", server.GetJSON(func() any { return co.ClusterStats() }))
 	return co, nil
 }
 
 func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	co.mux.ServeHTTP(w, r)
+	co.front.ServeHTTP(w, r)
 }
 
 // WaitJobs blocks until every running async sweep has finished, so a
 // graceful shutdown drains in-flight grids before the listener dies.
 func (co *Coordinator) WaitJobs() {
-	co.jobsWG.Wait()
+	co.front.WaitJobs()
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-func writeJSONBody(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST /sweep only")
-		return
+// source answers a request's cells by dispatching each to the fleet.
+// Results come back in completion order; the front end merges them into
+// the canonical document.
+func (co *Coordinator) source(sw *experiment.Sweep, fp string) experiment.ResultSource {
+	return func(c experiment.Cell) (experiment.Result, bool) {
+		return co.fetchCell(sw, fp, c), true
 	}
-	req, ok := server.DecodeSweepRequest(w, r)
-	if !ok {
-		return
-	}
-	sw, err := req.Sweep()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
-	}
-	cells, err := sw.Prepare()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid sweep: %v", err)
-		return
-	}
-	fp := server.Fingerprint(sw)
-
-	if !req.Async && co.syncLimit > 0 && len(cells) <= co.syncLimit {
-		// Stream the merged document straight into the response: results
-		// are written in canonical order as workers deliver them, never
-		// buffering more than the reorder window.
-		w.Header().Set("Content-Type", "application/json")
-		co.runSweepStream(sw, cells, fp, w, nil)
-		return
-	}
-
-	j := co.jobs.Create(len(cells))
-	co.jobsWG.Add(1)
-	go func() {
-		defer co.jobsWG.Done()
-		var buf bytes.Buffer
-		err := co.runSweepStream(sw, cells, fp, &buf, j)
-		if err != nil {
-			j.Finish(nil, err)
-		} else {
-			j.Finish(buf.Bytes(), nil)
-		}
-		co.jobs.Complete(j)
-	}()
-	writeJSONBody(w, http.StatusAccepted, j.Status())
-}
-
-// runSweepStream executes cells across the fleet and writes the merged
-// results document to w in canonical order. Per-cell failures (including
-// cells no worker could run) travel inside the document, matching local
-// sweep semantics; the returned error covers only document-level failures
-// (an unwritable response).
-func (co *Coordinator) runSweepStream(sw *experiment.Sweep, cells []experiment.Cell, fp string, w io.Writer, j *server.Job) error {
-	// Pre-sorting the cells canonically makes "emit in cell order" and
-	// "emit in SortResults order" the same thing, which is what lets the
-	// merge stream instead of sort-at-the-end like Sweep.RunCells.
-	sorted := make([]experiment.Cell, len(cells))
-	copy(sorted, cells)
-	experiment.SortCells(sorted)
-
-	stream := experiment.NewResultStream(w)
-	var done atomic.Int64
-	fetch := func(c experiment.Cell) experiment.Result {
-		r := co.fetchCell(sw, fp, c)
-		if j != nil {
-			j.Progress(int(done.Add(1)))
-		}
-		return r
-	}
-	if err := runOrdered(sorted, co.poolJobs, co.window, fetch, stream.Write); err != nil {
-		return err
-	}
-	return stream.Close()
 }
 
 // WorkerStatus is one worker's entry in GET /cluster/stats.
@@ -302,16 +180,4 @@ func (co *Coordinator) ClusterStats() Status {
 		st.Workers = append(st.Workers, wk.status())
 	}
 	return st
-}
-
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSONBody(w, http.StatusOK, co.ClusterStats())
-}
-
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSONBody(w, http.StatusOK, map[string]string{"status": "ok"})
 }

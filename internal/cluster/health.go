@@ -63,11 +63,11 @@ func (co *Coordinator) noteFailure(wk *worker, err error) {
 	wk.alive = false
 	wk.lastErr = err.Error()
 	backoff := co.probeBase
-	for i := 1; i < wk.fails && backoff < co.probeMax; i++ {
+	for i := 1; i < wk.fails && backoff < probeBackoffMax; i++ {
 		backoff *= 2
 	}
-	if backoff > co.probeMax {
-		backoff = co.probeMax
+	if backoff > probeBackoffMax {
+		backoff = probeBackoffMax
 	}
 	wk.nextProbe = co.now().Add(backoff)
 }

@@ -14,7 +14,7 @@ func (f *fakeClock) now() time.Time          { return f.t }
 func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_000_000, 0)} }
 func clockConfig(c *fakeClock, urls ...string) Config {
-	return Config{Workers: urls, ProbeInterval: 5 * time.Second, ProbeBackoffMax: time.Minute, Now: c.now}
+	return Config{Workers: urls, ProbeInterval: 5 * time.Second, Now: c.now}
 }
 
 // TestProbeBackoffSchedule pins the dead-worker probe schedule: 5s, 10s,

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
-	"sync"
 
 	"smtfetch"
 	"smtfetch/internal/bench"
@@ -113,7 +111,7 @@ type Sweep struct {
 	OnResult func(done, total int, r Result) //smtfetch:nonsemantic progress callback
 
 	// snap memoizes warm checkpoints for the worker pool; set up by
-	// RunCells, shared by pointer so Sweep stays copyable.
+	// runCells, shared by pointer so Sweep stays copyable.
 	snap *snapMemo //smtfetch:nonsemantic per-run checkpoint memo, execution mechanics
 }
 
@@ -246,50 +244,17 @@ func (s *Sweep) Run() ([]Result, error) {
 }
 
 // RunCells executes an already-validated cell list (from Prepare) on the
-// bounded worker pool. For each cell the source, when non-nil, is asked
-// first; a (Result, true) answer is used verbatim and the simulator never
-// runs. Results are sorted by cell key, and failed cells are reported both
-// in their Result.Error field and in the aggregated error.
+// bounded worker pool, handing cells to workers in list order. For each
+// cell the source, when non-nil, is asked first; a (Result, true) answer
+// is used verbatim and the simulator never runs. Results are sorted by
+// cell key, and failed cells are reported both in their Result.Error
+// field and in the aggregated error.
 func (s *Sweep) RunCells(cells []Cell, src ResultSource) ([]Result, error) {
-	if s.snap == nil {
-		s.snap = &snapMemo{}
-	}
-	jobs := s.Jobs
-	if jobs <= 0 {
-		jobs = runtime.NumCPU()
-	}
-	if jobs > len(cells) {
-		jobs = len(cells)
-	}
-
-	results := make([]Result, len(cells))
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	work := make(chan int)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i] = s.resolveCell(cells[i], src)
-				if s.OnResult != nil {
-					mu.Lock()
-					done++
-					s.OnResult(done, len(cells), results[i])
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range cells {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
+	results := make([]Result, 0, len(cells))
+	s.runCells(cells, src, len(cells), func(r Result) error {
+		results = append(results, r)
+		return nil
+	})
 	SortResults(results)
 	var errs []error
 	for i := range results {

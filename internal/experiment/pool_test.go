@@ -1,26 +1,24 @@
-package cluster
+package experiment
 
 import (
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
-
-	"smtfetch/internal/experiment"
 )
 
 // mergeCells builds n distinguishable cells already in canonical order
 // (seed is the last sort key, so ascending seeds are sorted).
-func mergeCells(n int) []experiment.Cell {
-	cells := make([]experiment.Cell, n)
+func mergeCells(n int) []Cell {
+	cells := make([]Cell, n)
 	for i := range cells {
-		cells[i] = experiment.Cell{Workload: "2_MIX", Seed: uint64(i + 1)}
+		cells[i] = Cell{Workload: "2_MIX", Seed: uint64(i + 1)}
 	}
 	return cells
 }
 
-func seedResult(c experiment.Cell) experiment.Result {
-	return experiment.Result{Workload: c.Workload, Engine: c.Engine.String(), Policy: c.Policy.String(), Seed: c.Seed}
+func seedResult(c Cell) Result {
+	return Result{Workload: c.Workload, Engine: c.Engine.String(), Policy: c.Policy.String(), Seed: c.Seed}
 }
 
 // TestRunOrderedEmitsInCellOrder completes cells in an adversarial
@@ -34,7 +32,7 @@ func TestRunOrderedEmitsInCellOrder(t *testing.T) {
 	var mu sync.Mutex
 	gates := map[uint64]chan struct{}{}
 	started := make(chan uint64, n)
-	fetch := func(c experiment.Cell) experiment.Result {
+	fetch := func(c Cell) Result {
 		g := make(chan struct{})
 		mu.Lock()
 		gates[c.Seed] = g
@@ -47,7 +45,7 @@ func TestRunOrderedEmitsInCellOrder(t *testing.T) {
 	var emitted []uint64
 	done := make(chan error, 1)
 	go func() {
-		done <- runOrdered(cells, jobs, window, fetch, func(r experiment.Result) error {
+		done <- runOrdered(cells, jobs, window, fetch, func(r Result) error {
 			emitted = append(emitted, r.Seed)
 			return nil
 		})
@@ -98,7 +96,7 @@ func TestRunOrderedWindowBoundsDispatch(t *testing.T) {
 
 	started := make(chan uint64, n)
 	release := make(chan struct{})
-	fetch := func(c experiment.Cell) experiment.Result {
+	fetch := func(c Cell) Result {
 		started <- c.Seed
 		if c.Seed == 1 {
 			<-release // head cell stalls; dispatch must throttle behind it
@@ -108,7 +106,7 @@ func TestRunOrderedWindowBoundsDispatch(t *testing.T) {
 	done := make(chan error, 1)
 	var emitted int
 	go func() {
-		done <- runOrdered(cells, jobs, window, fetch, func(experiment.Result) error {
+		done <- runOrdered(cells, jobs, window, fetch, func(Result) error {
 			emitted++
 			return nil
 		})
@@ -146,7 +144,7 @@ func TestRunOrderedEmitErrorDrains(t *testing.T) {
 	cells := mergeCells(n)
 	var fetched int32
 	var mu sync.Mutex
-	fetch := func(c experiment.Cell) experiment.Result {
+	fetch := func(c Cell) Result {
 		mu.Lock()
 		fetched++
 		mu.Unlock()
@@ -154,7 +152,7 @@ func TestRunOrderedEmitErrorDrains(t *testing.T) {
 	}
 	boom := errors.New("client went away")
 	emits := 0
-	err := runOrdered(cells, 2, 4, fetch, func(r experiment.Result) error {
+	err := runOrdered(cells, 2, 4, fetch, func(r Result) error {
 		emits++
 		if r.Seed == 2 {
 			return fmt.Errorf("write: %w", boom)

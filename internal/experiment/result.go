@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,10 +88,9 @@ func SortResults(rs []Result) {
 
 // lessCell applies the lessResult ordering to not-yet-executed cells,
 // comparing the same (workload, engine name, policy name, seed) tuple a
-// cell's Result will carry. SortCells therefore pre-orders a cell list so
+// cell's Result will carry. sortCells therefore pre-orders a cell list so
 // that results produced one-by-one in that order are already in
-// SortResults order — the property the cluster coordinator's streamed
-// merge depends on.
+// SortResults order — the property WriteCells depends on.
 func lessCell(a, b Cell) bool {
 	if a.Workload != b.Workload {
 		return a.Workload < b.Workload
@@ -103,9 +104,9 @@ func lessCell(a, b Cell) bool {
 	return a.Seed < b.Seed
 }
 
-// SortCells orders cells canonically: the results of executing them in
+// sortCells orders cells canonically: the results of executing them in
 // this order are in SortResults order.
-func SortCells(cells []Cell) {
+func sortCells(cells []Cell) {
 	sort.Slice(cells, func(i, j int) bool { return lessCell(cells[i], cells[j]) })
 }
 
@@ -124,21 +125,24 @@ const SchemaVersion = 2
 
 // WriteJSON writes results (sorted, indented, versioned) to w.
 func WriteJSON(w io.Writer, rs []Result) error {
-	sorted := make([]Result, len(rs))
-	copy(sorted, rs)
+	sorted := slices.Clone(rs)
 	SortResults(sorted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(resultsFile{SchemaVersion: SchemaVersion, Results: sorted})
+	s := newResultStream(w)
+	for _, r := range sorted {
+		if err := s.write(r); err != nil {
+			return err
+		}
+	}
+	return s.Close()
 }
 
 // MarshalJSONResults returns the canonical JSON bytes for results.
 func MarshalJSONResults(rs []Result) ([]byte, error) {
-	var b strings.Builder
+	var b bytes.Buffer
 	if err := WriteJSON(&b, rs); err != nil {
 		return nil, err
 	}
-	return []byte(b.String()), nil
+	return b.Bytes(), nil
 }
 
 // ReadJSON parses a results file written by WriteJSON. Duplicate cell keys

@@ -6,85 +6,80 @@ import (
 	"io"
 )
 
-// ResultStream writes a results document incrementally, producing bytes
-// identical to WriteJSON over the same results without ever holding more
-// than one Result. It exists for the cluster coordinator, which merges
-// worker results into the response document as they arrive: the grid can
-// be arbitrarily large, but the coordinator only buffers the out-of-order
-// window, not the whole result set.
+// resultStream is the one writer of the results document: WriteJSON
+// writes a sorted slice through it, and WriteCells writes results as
+// cells finish, never holding more than one Result here.
 //
-// Results must be written in canonical order (SortResults order); Write
-// rejects out-of-order results rather than silently emitting a document
-// that would no longer match a local sweep byte-for-byte.
-type ResultStream struct {
-	w       io.Writer
-	n       int
-	err     error
-	closed  bool
-	lastKey string
-	last    Result // key fields only; Stats is dropped so it can be freed
+// Write takes results in canonical order (SortResults order) only,
+// rejecting an out-of-order or repeated cell rather than silently
+// emitting a document that would no longer match a local sweep
+// byte-for-byte.
+type resultStream struct {
+	w      io.Writer
+	n      int
+	err    error
+	closed bool
+	last   Result // key fields only; Stats is dropped so it can be freed
 }
 
-// NewResultStream starts a results document on w. The envelope opens on
-// the first Write (or at Close for an empty stream), so construction
+// newResultStream starts a results document on w. The envelope opens on
+// the first write (or at Close for an empty stream), so construction
 // itself writes nothing.
-func NewResultStream(w io.Writer) *ResultStream {
-	return &ResultStream{w: w}
+func newResultStream(w io.Writer) *resultStream {
+	return &resultStream{w: w}
 }
 
-// header is everything WriteJSON emits before the first array element.
-const streamHeader = "{\n  \"schema_version\": " // + version + header tail
+// streamHeader is everything the document holds before the schema
+// version; streamArrayOpen follows the version when there are results.
+const streamHeader = "{\n  \"schema_version\": "
 const streamArrayOpen = ",\n  \"results\": [\n"
 
 // Write appends one result to the document. Results must arrive in
 // SortResults order.
-func (s *ResultStream) Write(r Result) error {
+func (s *resultStream) Write(r Result) error {
+	if s.err == nil && !s.closed && s.n > 0 && !lessResult(s.last, r) {
+		return s.fail(fmt.Errorf("experiment: result stream: result %s out of order after %s", r.Key(), s.last.Key()))
+	}
+	return s.write(r)
+}
+
+// write appends one result without the order check. WriteJSON uses it
+// directly: it sorts first, and a slice holding one cell twice is still
+// written (ReadJSON is what rejects such a file).
+func (s *resultStream) write(r Result) error {
 	if s.err != nil {
 		return s.err
 	}
 	if s.closed {
-		return s.fail(fmt.Errorf("experiment: ResultStream: write after Close"))
+		return s.fail(fmt.Errorf("experiment: result stream: write after Close"))
 	}
-	if s.n > 0 {
-		prev := s.last
-		if !lessResult(prev, r) {
-			return s.fail(fmt.Errorf("experiment: ResultStream: result %s out of order after %s", r.Key(), s.lastKey))
-		}
-	}
+	sep := ",\n"
 	if s.n == 0 {
-		if err := s.writeString(fmt.Sprintf("%s%d%s", streamHeader, SchemaVersion, streamArrayOpen)); err != nil {
-			return err
-		}
-	} else {
-		if err := s.writeString(",\n"); err != nil {
-			return err
-		}
+		sep = fmt.Sprintf("%s%d%s", streamHeader, SchemaVersion, streamArrayOpen)
 	}
 	// Elements sit two indent levels deep; MarshalIndent prefixes every
 	// line but the first, which gets the explicit "    " below. This is
-	// exactly what json.Encoder produces for a nested array element, so
-	// the assembled document matches WriteJSON byte-for-byte (pinned by
-	// TestResultStreamMatchesWriteJSON).
+	// exactly what an indenting json.Encoder produces for a nested array
+	// element (pinned by TestResultStreamMatchesWriteJSON).
 	blob, err := json.MarshalIndent(r, "    ", "  ")
 	if err != nil {
 		return s.fail(err)
 	}
-	if err := s.writeString("    "); err != nil {
+	if err := s.writeString(sep + "    "); err != nil {
 		return err
 	}
 	if _, err := s.w.Write(blob); err != nil {
 		return s.fail(err)
 	}
 	s.n++
-	s.lastKey = r.Key()
 	r.Stats = nil // keep only the ordering fields alive
 	s.last = r
 	return nil
 }
 
-// Close terminates the document. A stream with zero writes produces the
-// same bytes as WriteJSON over an empty (non-nil) result slice.
-func (s *ResultStream) Close() error {
+// Close terminates the document. A stream with zero writes produces an
+// empty (non-null) results array.
+func (s *resultStream) Close() error {
 	if s.err != nil {
 		return s.err
 	}
@@ -98,10 +93,7 @@ func (s *ResultStream) Close() error {
 	return s.writeString("\n  ]\n}\n")
 }
 
-// Count reports how many results have been written.
-func (s *ResultStream) Count() int { return s.n }
-
-func (s *ResultStream) writeString(str string) error {
+func (s *resultStream) writeString(str string) error {
 	if _, err := io.WriteString(s.w, str); err != nil {
 		return s.fail(err)
 	}
@@ -109,7 +101,7 @@ func (s *ResultStream) writeString(str string) error {
 }
 
 // fail latches the first error; every later call returns it.
-func (s *ResultStream) fail(err error) error {
+func (s *resultStream) fail(err error) error {
 	if s.err == nil {
 		s.err = err
 	}

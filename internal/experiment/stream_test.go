@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -33,19 +35,31 @@ func streamResults() []Result {
 	}
 }
 
-// TestResultStreamMatchesWriteJSON pins the cluster's streamed-merge
-// correctness oracle: writing results one at a time through ResultStream
-// yields the exact bytes MarshalJSONResults produces for the same slice.
+// encoderDocument is the reference writer the stream is checked against:
+// the results envelope through an indenting json.Encoder, independent of
+// resultStream's hand-assembled bytes.
+func encoderDocument(t *testing.T, rs []Result) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(resultsFile{SchemaVersion: SchemaVersion, Results: rs}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestResultStreamMatchesWriteJSON pins the streamed writer against an
+// independent one: writing results one at a time through resultStream
+// yields the exact bytes json.Encoder produces for the same slice, and
+// MarshalJSONResults (which writes through the stream) agrees.
 func TestResultStreamMatchesWriteJSON(t *testing.T) {
 	rs := streamResults()
 	SortResults(rs)
-	want, err := MarshalJSONResults(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := encoderDocument(t, rs)
 
 	var buf bytes.Buffer
-	s := NewResultStream(&buf)
+	s := newResultStream(&buf)
 	for _, r := range rs {
 		if err := s.Write(r); err != nil {
 			t.Fatalf("Write(%s): %v", r.Key(), err)
@@ -55,20 +69,38 @@ func TestResultStreamMatchesWriteJSON(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("streamed document differs from WriteJSON\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("streamed document differs from json.Encoder\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if s.Count() != len(rs) {
-		t.Fatalf("Count = %d, want %d", s.Count(), len(rs))
+	if got, err := MarshalJSONResults(rs); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("MarshalJSONResults differs from json.Encoder (err %v)\ngot:\n%s\nwant:\n%s", err, got, want)
+	}
+}
+
+// TestBaselineRoundTrip pins the writer to the checked-in bytes: reading
+// the sweep baseline and writing it back reproduces the file exactly.
+func TestBaselineRoundTrip(t *testing.T) {
+	const path = "../../baselines/sweep_baseline.json"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := ReadJSONFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MarshalJSONResults(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rewriting %s changed it (%d bytes in, %d out)", path, len(want), len(got))
 	}
 }
 
 func TestResultStreamEmpty(t *testing.T) {
-	want, err := MarshalJSONResults([]Result{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := encoderDocument(t, []Result{})
 	var buf bytes.Buffer
-	s := NewResultStream(&buf)
+	s := newResultStream(&buf)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -91,7 +123,7 @@ func TestResultStreamRejectsOutOfOrder(t *testing.T) {
 	rs := streamResults()
 	SortResults(rs)
 	var buf bytes.Buffer
-	s := NewResultStream(&buf)
+	s := newResultStream(&buf)
 	if err := s.Write(rs[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +132,7 @@ func TestResultStreamRejectsOutOfOrder(t *testing.T) {
 	}
 	// A duplicate key is also out of order (not strictly greater).
 	var buf2 bytes.Buffer
-	s2 := NewResultStream(&buf2)
+	s2 := newResultStream(&buf2)
 	if err := s2.Write(rs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +141,9 @@ func TestResultStreamRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestSortCellsAgreesWithSortResults: executing cells in SortCells order
-// produces results already in SortResults order — the invariant the
-// coordinator's streamed merge stands on.
+// TestSortCellsAgreesWithSortResults: executing cells in sortCells order
+// produces results already in SortResults order — the invariant
+// WriteCells stands on.
 func TestSortCellsAgreesWithSortResults(t *testing.T) {
 	var cells []Cell
 	engines := []config.Engine{config.GShareBTB, config.StreamFetch, config.GSkewFTB}
@@ -128,7 +160,7 @@ func TestSortCellsAgreesWithSortResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
 
-	SortCells(cells)
+	sortCells(cells)
 	rs := make([]Result, len(cells))
 	for i, c := range cells {
 		rs[i] = Result{Workload: c.Workload, Engine: c.Engine.String(), Policy: c.Policy.String(), Seed: c.Seed}
@@ -138,7 +170,7 @@ func TestSortCellsAgreesWithSortResults(t *testing.T) {
 	SortResults(sorted)
 	for i := range rs {
 		if rs[i].Key() != sorted[i].Key() {
-			t.Fatalf("order diverges at %d: SortCells gave %s, SortResults wants %s", i, rs[i].Key(), sorted[i].Key())
+			t.Fatalf("order diverges at %d: sortCells gave %s, SortResults wants %s", i, rs[i].Key(), sorted[i].Key())
 		}
 	}
 }

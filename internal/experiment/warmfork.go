@@ -67,7 +67,7 @@ func (s *Sweep) snapshotFor(key string, build func() ([]byte, error)) ([]byte, e
 	}
 	m := s.snap
 	if m == nil {
-		// Direct ExecuteCell call outside RunCells: correct, just unmemoized.
+		// Direct ExecuteCell call outside a cell runner: correct, just unmemoized.
 		return wrapped()
 	}
 	// The lookup runs inside the flight, so a checkpoint stored by a

@@ -71,59 +71,25 @@ const DefaultSnapshotCapacity = 64
 // the warm-up phase entirely in warm-fork mode.
 type Cache struct {
 	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used
-	byKey     map[string]*list.Element
-	hits      uint64
-	misses    uint64
-	stores    uint64
-	evictions uint64
-
-	snapCap       int
-	snapLL        *list.List
-	snapByKey     map[string]*list.Element
-	snapHits      uint64
-	snapMisses    uint64
-	snapStores    uint64
-	snapEvictions uint64
-}
-
-type cacheEntry struct {
-	key string
-	res experiment.Result
-}
-
-type snapCacheEntry struct {
-	key  string
-	blob []byte
+	results   *lru[experiment.Result]
+	snapshots *lru[[]byte]
 }
 
 // NewCache returns an empty cache bounded to capacity result entries
 // (minimum 1) and DefaultSnapshotCapacity snapshot entries.
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Cache{
-		capacity:  capacity,
-		ll:        list.New(),
-		byKey:     map[string]*list.Element{},
-		snapCap:   DefaultSnapshotCapacity,
-		snapLL:    list.New(),
-		snapByKey: map[string]*list.Element{},
+		results:   newLRU[experiment.Result](capacity),
+		snapshots: newLRU[[]byte](DefaultSnapshotCapacity),
 	}
 }
 
 // SetSnapshotCapacity rebounds the snapshot tier (minimum 1), evicting
 // immediately if the tier is over the new bound.
 func (c *Cache) SetSnapshotCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.snapCap = n
-	c.evictSnapshots()
+	c.snapshots.setCapacity(n)
 }
 
 // GetSnapshot returns the cached warm-checkpoint blob for key, marking it
@@ -131,112 +97,146 @@ func (c *Cache) SetSnapshotCapacity(n int) {
 func (c *Cache) GetSnapshot(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.snapByKey[key]
-	if !ok {
-		c.snapMisses++
-		return nil, false
-	}
-	c.snapHits++
-	c.snapLL.MoveToFront(el)
-	return el.Value.(*snapCacheEntry).blob, true
+	return c.snapshots.get(key)
 }
 
 // PutSnapshot stores a warm-checkpoint blob under key, evicting the least
 // recently used snapshot when the tier is full.
 func (c *Cache) PutSnapshot(key string, blob []byte) {
-	c.putSnapshot(key, blob, true)
-}
-
-func (c *Cache) putSnapshot(key string, blob []byte, countStore bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if countStore {
-		c.snapStores++
-	}
-	if el, ok := c.snapByKey[key]; ok {
-		el.Value.(*snapCacheEntry).blob = blob
-		c.snapLL.MoveToFront(el)
-		return
-	}
-	c.snapByKey[key] = c.snapLL.PushFront(&snapCacheEntry{key: key, blob: blob})
-	c.evictSnapshots()
-}
-
-// evictSnapshots trims the snapshot tier to its bound; callers hold c.mu.
-func (c *Cache) evictSnapshots() {
-	for c.snapLL.Len() > c.snapCap {
-		oldest := c.snapLL.Back()
-		c.snapLL.Remove(oldest)
-		delete(c.snapByKey, oldest.Value.(*snapCacheEntry).key)
-		c.snapEvictions++
-	}
+	c.snapshots.put(key, blob, true)
 }
 
 // Get returns the cached result for key, marking it most recently used.
 func (c *Cache) Get(key string) (experiment.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses++
-		return experiment.Result{}, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return c.results.get(key)
 }
 
 // Put stores a result under key, evicting the least recently used entry
 // when full. Storing an existing key refreshes its value and recency.
 func (c *Cache) Put(key string, r experiment.Result) {
-	c.put(key, r, true)
-}
-
-func (c *Cache) put(key string, r experiment.Result, countStore bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if countStore {
-		c.stores++
-	}
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).res = r
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, res: r})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
+	c.results.put(key, r, true)
 }
 
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
+// peek and peekSnapshot look a key up without counting a hit or a miss
+// and without changing recency: the re-check a single-flight leader
+// makes after its counted lookup missed.
+func (c *Cache) peek(key string) (experiment.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.results.peek(key)
+}
+
+func (c *Cache) peekSnapshot(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.snapshots.peek(key)
 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	r, s := c.results, c.snapshots
 	return CacheStats{
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Stores:    c.stores,
-		Evictions: c.evictions,
+		Entries:   r.ll.Len(),
+		Capacity:  r.capacity,
+		Hits:      r.hits,
+		Misses:    r.misses,
+		Stores:    r.stores,
+		Evictions: r.evictions,
 
-		SnapshotEntries:   c.snapLL.Len(),
-		SnapshotCapacity:  c.snapCap,
-		SnapshotHits:      c.snapHits,
-		SnapshotMisses:    c.snapMisses,
-		SnapshotStores:    c.snapStores,
-		SnapshotEvictions: c.snapEvictions,
+		SnapshotEntries:   s.ll.Len(),
+		SnapshotCapacity:  s.capacity,
+		SnapshotHits:      s.hits,
+		SnapshotMisses:    s.misses,
+		SnapshotStores:    s.stores,
+		SnapshotEvictions: s.evictions,
+	}
+}
+
+// lru is one cache tier: a bounded least-recently-used map with its
+// hit/miss/store/eviction counters. It is not safe for concurrent use;
+// Cache guards both tiers with one mutex.
+type lru[V any] struct {
+	capacity int
+	ll       *list.List // of *lruEntry[V]; front = most recently used
+	byKey    map[string]*list.Element
+
+	hits, misses, stores, evictions uint64
+}
+
+type lruEntry[V any] struct {
+	key string
+	val V
+}
+
+func newLRU[V any](capacity int) *lru[V] {
+	l := &lru[V]{ll: list.New(), byKey: map[string]*list.Element{}}
+	l.setCapacity(capacity)
+	return l
+}
+
+// setCapacity rebounds the tier (minimum 1), evicting down to it.
+func (l *lru[V]) setCapacity(n int) {
+	l.capacity = max(n, 1)
+	l.evict()
+}
+
+func (l *lru[V]) peek(key string) (V, bool) {
+	if el, ok := l.byKey[key]; ok {
+		return el.Value.(*lruEntry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
+func (l *lru[V]) get(key string) (V, bool) {
+	el, ok := l.byKey[key]
+	if !ok {
+		l.misses++
+		var zero V
+		return zero, false
+	}
+	l.hits++
+	l.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// put stores val under key as the most recently used entry. Loads from a
+// file pass countStore false: stats reflect live traffic only.
+func (l *lru[V]) put(key string, val V, countStore bool) {
+	if countStore {
+		l.stores++
+	}
+	if el, ok := l.byKey[key]; ok {
+		el.Value.(*lruEntry[V]).val = val
+		l.ll.MoveToFront(el)
+		return
+	}
+	l.byKey[key] = l.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	l.evict()
+}
+
+func (l *lru[V]) evict() {
+	for l.ll.Len() > l.capacity {
+		oldest := l.ll.Back()
+		l.ll.Remove(oldest)
+		delete(l.byKey, oldest.Value.(*lruEntry[V]).key)
+		l.evictions++
+	}
+}
+
+// oldestFirst calls fn on every entry, least recently used first.
+func (l *lru[V]) oldestFirst(fn func(key string, val V)) {
+	for el := l.ll.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*lruEntry[V])
+		fn(e.key, e.val)
 	}
 }
 
@@ -278,18 +278,15 @@ const (
 func (c *Cache) SaveFile(path string) error {
 	c.mu.Lock()
 	f := cacheFile{SchemaVersion: CacheSchemaVersion}
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
+	c.results.oldestFirst(func(key string, res experiment.Result) {
 		// The key suffix is reconstructible from the result; only the
 		// fingerprint prefix needs storing.
-		fp := e.key[:len(e.key)-len(e.res.Key())-1]
-		res := e.res
+		fp := key[:len(key)-len(res.Key())-1]
 		f.Entries = append(f.Entries, persistedEntry{Tier: TierResult, Fingerprint: fp, Result: &res})
-	}
-	for el := c.snapLL.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*snapCacheEntry)
-		f.Entries = append(f.Entries, persistedEntry{Tier: TierSnapshot, Key: e.key, Blob: e.blob})
-	}
+	})
+	c.snapshots.oldestFirst(func(key string, blob []byte) {
+		f.Entries = append(f.Entries, persistedEntry{Tier: TierSnapshot, Key: key, Blob: blob})
+	})
 	c.mu.Unlock()
 
 	blob, err := json.MarshalIndent(f, "", "  ")
@@ -331,19 +328,20 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	if f.SchemaVersion != CacheSchemaVersion && f.SchemaVersion != 1 {
 		return 0, fmt.Errorf("server: cache file %s has schema version %d, want %d", path, f.SchemaVersion, CacheSchemaVersion)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, e := range f.Entries {
 		switch e.Tier {
 		case "", TierResult:
 			if e.Result == nil {
 				return 0, fmt.Errorf("server: cache file %s entry %d: result tier without a result", path, i)
 			}
-			// Loads do not count as stores: stats reflect live traffic only.
-			c.put(e.Fingerprint+"/"+e.Result.Key(), *e.Result, false)
+			c.results.put(e.Fingerprint+"/"+e.Result.Key(), *e.Result, false)
 		case TierSnapshot:
 			if e.Key == "" {
 				return 0, fmt.Errorf("server: cache file %s entry %d: snapshot tier without a key", path, i)
 			}
-			c.putSnapshot(e.Key, e.Blob, false)
+			c.snapshots.put(e.Key, e.Blob, false)
 		default:
 			return 0, fmt.Errorf("server: cache file %s entry %d has unknown artifact tier %q (known: %q, %q); refusing to load a future schema partially", path, i, e.Tier, TierResult, TierSnapshot)
 		}

@@ -28,10 +28,8 @@ type JobStatus struct {
 	ResultsURL string `json:"results_url,omitempty"`
 }
 
-// Job is one asynchronous sweep execution. It is exported (together with
-// JobRegistry) because the cluster coordinator exposes the identical
-// /jobs/{id} polling protocol: one implementation, two services.
-type Job struct {
+// job is one asynchronous sweep execution.
+type job struct {
 	id string
 
 	mu      sync.Mutex
@@ -39,11 +37,11 @@ type Job struct {
 	done    int
 	total   int
 	err     string
-	results []byte // WriteJSON bytes, set when state == JobDone
+	results []byte // the results document, set when state == JobDone
 }
 
-// Status snapshots the job for GET /jobs/{id}.
-func (j *Job) Status() JobStatus {
+// status snapshots the job for GET /jobs/{id}.
+func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{ID: j.id, State: j.state, Done: j.done, Total: j.total, Error: j.err}
@@ -53,92 +51,84 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Progress records per-cell completion progress.
-func (j *Job) Progress(done int) {
+// progress records per-cell completion progress.
+func (j *job) progress(done int) {
 	j.mu.Lock()
 	j.done = done
 	j.mu.Unlock()
 }
 
-// Finish moves the job out of the running state. A nil results document
-// with a non-nil error marks the job failed; otherwise the job is done
-// and err (per-cell failures, already inside the document) is dropped.
-func (j *Job) Finish(results []byte, err error) {
+// finish moves the job out of the running state: failed when err is
+// non-nil (the document could not be built), else done. Per-cell
+// failures travel inside the document, matching the CLI: the job itself
+// completed.
+func (j *job) finish(results []byte, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err != nil && results == nil {
+	if err != nil {
 		j.state = JobFailed
 		j.err = err.Error()
 		return
 	}
-	// Per-cell errors travel inside the results document, matching the
-	// CLI: the job itself completed.
 	j.state = JobDone
 	j.results = results
 	j.done = j.total
 }
 
-// ResultBytes returns the results document once the job is done.
-func (j *Job) ResultBytes() ([]byte, bool) {
+// resultBytes returns the results document once the job is done.
+func (j *job) resultBytes() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.results, j.state == JobDone
 }
 
-// JobRegistry tracks asynchronous sweeps. Completed jobs are retained up
-// to a bound so poll results stay available for a while without growing
-// without limit; running jobs are never evicted.
-type JobRegistry struct {
+// maxFinishedJobs bounds how many completed jobs stay pollable.
+const maxFinishedJobs = 32
+
+// jobRegistry tracks asynchronous sweeps. The maxFinishedJobs most
+// recently completed jobs are retained, so poll results stay available
+// for a while without growing without limit; running jobs are never
+// evicted.
+type jobRegistry struct {
 	mu       sync.Mutex
 	seq      int
-	byID     map[string]*Job
+	byID     map[string]*job
 	finished []string // completed job IDs in completion order
-	maxDone  int
 }
 
-// NewJobRegistry builds a registry retaining up to maxDone finished jobs
-// (minimum 1).
-func NewJobRegistry(maxDone int) *JobRegistry {
-	if maxDone < 1 {
-		maxDone = 1
-	}
-	return &JobRegistry{byID: map[string]*Job{}, maxDone: maxDone}
-}
-
-// Create registers a new running job over total cells.
-func (r *JobRegistry) Create(total int) *Job {
+// create registers a new running job over total cells.
+func (r *jobRegistry) create(total int) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	j := &Job{id: fmt.Sprintf("job-%d", r.seq), state: JobRunning, total: total}
+	j := &job{id: fmt.Sprintf("job-%d", r.seq), state: JobRunning, total: total}
 	r.byID[j.id] = j
 	return j
 }
 
-// Get looks a job up by ID.
-func (r *JobRegistry) Get(id string) (*Job, bool) {
+// get looks a job up by ID.
+func (r *jobRegistry) get(id string) (*job, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j, ok := r.byID[id]
 	return j, ok
 }
 
-// Complete records that a job left the running state and evicts the
+// complete records that a job left the running state and evicts the
 // oldest finished jobs beyond the retention bound.
-func (r *JobRegistry) Complete(j *Job) {
+func (r *jobRegistry) complete(j *job) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.finished = append(r.finished, j.id)
-	for len(r.finished) > r.maxDone {
+	for len(r.finished) > maxFinishedJobs {
 		delete(r.byID, r.finished[0])
 		r.finished = r.finished[1:]
 	}
 }
 
-// HandleHTTP serves GET /jobs/{id} and GET /jobs/{id}/results from the
-// registry. The sweep server and the cluster coordinator both mount it,
-// so polling clients cannot tell them apart.
-func (r *JobRegistry) HandleHTTP(w http.ResponseWriter, req *http.Request) {
+// handleHTTP serves GET /jobs/{id} and GET /jobs/{id}/results from the
+// registry.
+func (r *jobRegistry) handleHTTP(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
@@ -148,18 +138,18 @@ func (r *JobRegistry) HandleHTTP(w http.ResponseWriter, req *http.Request) {
 	if sub, ok := strings.CutSuffix(rest, "/results"); ok {
 		id, wantResults = sub, true
 	}
-	j, ok := r.Get(id)
+	j, ok := r.get(id)
 	if !ok || id == "" || strings.Contains(id, "/") {
 		httpError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	if !wantResults {
-		writeJSONBody(w, http.StatusOK, j.Status())
+		writeJSONBody(w, http.StatusOK, j.status())
 		return
 	}
-	blob, done := j.ResultBytes()
+	blob, done := j.resultBytes()
 	if !done {
-		httpError(w, http.StatusConflict, "job %s is %s, results not available", id, j.Status().State)
+		httpError(w, http.StatusConflict, "job %s is %s, results not available", id, j.status().State)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

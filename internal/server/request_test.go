@@ -1,13 +1,8 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
 	"smtfetch/internal/config"
 	"smtfetch/internal/experiment"
@@ -69,46 +64,5 @@ func TestSweepRequestRoundTrip(t *testing.T) {
 	}
 	if _, err := NewSweepRequest(&experiment.Sweep{Filter: func(experiment.Cell) bool { return true }}); err == nil {
 		t.Error("NewSweepRequest accepted a cell filter")
-	}
-}
-
-// A grid over MaxGridCells is refused with 400, naming the cap, before it
-// is expanded: 70 000 seeds fit well under the body cap, yet no job is
-// created and the answer comes at once.
-func TestOversizedGridRejected(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	seeds := make([]uint64, 70_000)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	body, err := json.Marshal(SweepRequest{Async: true, Workloads: []string{"2_MIX"},
-		Engines: []string{"stream"}, Policies: []string{"ICOUNT.1.8"}, Seeds: seeds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body) >= maxSweepRequestBytes {
-		t.Fatalf("request body is %d bytes, want it under the %d-byte body cap", len(body), maxSweepRequestBytes)
-	}
-	start := time.Now()
-	resp, err := http.Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msg bytes.Buffer
-	if _, err := msg.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %s, want 400", resp.Status)
-	}
-	if !strings.Contains(msg.String(), "65536-cell cap") {
-		t.Errorf("error %q does not name the cap", msg.String())
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("rejection took %v", d)
-	}
-	if _, ok := srv.jobs.Get("job-1"); ok {
-		t.Fatal("oversized grid created a job")
 	}
 }

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"smtfetch/internal/config"
 	"smtfetch/internal/core"
@@ -125,38 +123,26 @@ type Config struct {
 	SyncCellLimit int
 	// Jobs bounds each sweep's worker pool; <= 0 means NumCPU.
 	Jobs int
-	// MaxFinishedJobs bounds how many completed jobs stay pollable
-	// (<= 0 = 32). Running jobs are never evicted.
-	MaxFinishedJobs int
 	// SnapshotCacheSize bounds the warm-checkpoint cache tier in entries
 	// (<= 0 = DefaultSnapshotCapacity). Checkpoints are megabytes each, so
 	// this stays far below CacheSize.
 	SnapshotCacheSize int
 }
 
-// Server is the sweep service: an http.Handler exposing
+// Server is the sweep service: a FrontEnd whose cells are answered from
+// the cache, plus
 //
-//	POST /sweep          run a grid (sync body or 202 + job ID)
-//	GET  /jobs/{id}          poll an async sweep
-//	GET  /jobs/{id}/results  fetch its results document
 //	GET  /results/{key}      fetch one cached cell by content key
 //	GET  /cache/stats        cache counter snapshot
-//	GET  /healthz            liveness probe
+//	GET  /identz             worker identity and schema versions
 //
 // All sweep execution funnels through the cache: a cell whose content
 // key is present is served without simulating, and because the simulator
 // is deterministic the response is byte-identical either way.
 type Server struct {
+	front     *FrontEnd
 	cache     *Cache
 	cacheFile string
-	jobs      *JobRegistry
-	syncLimit int
-	poolJobs  int
-	mux       *http.ServeMux
-
-	// jobsWG tracks running async sweep goroutines so a graceful
-	// shutdown can drain them (WaitJobs) before persisting the cache.
-	jobsWG sync.WaitGroup
 
 	// results and snapshots dedupe concurrent misses on one key across
 	// requests: two overlapping grids that miss on a shared cell (or warm
@@ -171,20 +157,9 @@ func New(cfg Config) (*Server, error) {
 	if size <= 0 {
 		size = 4096
 	}
-	syncLimit := cfg.SyncCellLimit
-	if syncLimit == 0 {
-		syncLimit = 16
-	}
-	maxDone := cfg.MaxFinishedJobs
-	if maxDone <= 0 {
-		maxDone = 32
-	}
 	s := &Server{
 		cache:     NewCache(size),
 		cacheFile: cfg.CacheFile,
-		jobs:      NewJobRegistry(maxDone),
-		syncLimit: syncLimit,
-		poolJobs:  cfg.Jobs,
 	}
 	if cfg.SnapshotCacheSize > 0 {
 		s.cache.SetSnapshotCapacity(cfg.SnapshotCacheSize)
@@ -194,18 +169,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/sweep", s.handleSweep)
-	s.mux.HandleFunc("/jobs/", s.jobs.HandleHTTP)
-	s.mux.HandleFunc("/results/", s.handleResult)
-	s.mux.HandleFunc("/cache/stats", s.handleCacheStats)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/identz", s.handleIdentz)
+	s.front = NewFrontEnd(cfg.SyncCellLimit, cfg.Jobs, s.source)
+	s.front.Handle("/results/", s.handleResult)
+	s.front.Handle("/cache/stats", GetJSON(func() any { return s.cache.Stats() }))
+	s.front.Handle("/identz", GetJSON(func() any { return Identz() }))
 	return s, nil
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	s.front.ServeHTTP(w, r)
 }
 
 // WaitJobs blocks until every running async sweep has finished. A
@@ -213,7 +185,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // SaveCache, so in-flight jobs complete and their cells persist instead
 // of being killed mid-grid.
 func (s *Server) WaitJobs() {
-	s.jobsWG.Wait()
+	s.front.WaitJobs()
 }
 
 // SaveCache persists the cache to the configured file; a no-op without one.
@@ -227,103 +199,15 @@ func (s *Server) SaveCache() error {
 // CacheStats snapshots the result-cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
-// httpError sends a plain-text error. Validation and parse failures are
-// the caller's fault (400); everything else that can fail here is a
-// lookup miss (404) or a method mismatch (405).
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-func writeJSONBody(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// maxSweepRequestBytes caps a POST /sweep body. Real requests are a few
-// hundred bytes; the cap stops one client from making the service buffer
-// an unbounded body.
-const maxSweepRequestBytes = 1 << 20
-
-// DecodeSweepRequest reads a POST /sweep body of at most
-// maxSweepRequestBytes, rejecting unknown fields. On failure it has
-// already answered — 413 for an oversized body, 400 for a malformed one —
-// and reports false.
-func DecodeSweepRequest(w http.ResponseWriter, r *http.Request) (SweepRequest, bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepRequestBytes))
-	dec.DisallowUnknownFields()
-	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "bad sweep request: %v", err)
-		return SweepRequest{}, false
-	}
-	return req, true
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST /sweep only")
-		return
-	}
-	req, ok := DecodeSweepRequest(w, r)
-	if !ok {
-		return
-	}
-	sw, err := req.Sweep()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
-	}
-	sw.Jobs = s.poolJobs
-	cells, err := sw.Prepare()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid sweep: %v", err)
-		return
-	}
-	fp := Fingerprint(sw)
-
-	if !req.Async && s.syncLimit > 0 && len(cells) <= s.syncLimit {
-		blob, err := s.runSweep(sw, cells, fp)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "sweep failed: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(blob)
-		return
-	}
-
-	j := s.jobs.Create(len(cells))
-	sw.OnResult = func(done, total int, _ experiment.Result) { j.Progress(done) }
-	s.jobsWG.Add(1)
-	go func() {
-		defer s.jobsWG.Done()
-		blob, err := s.runSweep(sw, cells, fp)
-		j.Finish(blob, err)
-		s.jobs.Complete(j)
-	}()
-	writeJSONBody(w, http.StatusAccepted, j.Status())
-}
-
-// runSweep executes cells through the cache: hits are served without
-// simulating, misses execute on the sweep's worker pool and are stored
-// (error cells excepted, so transient failures retry on the next
-// request). Per-cell failures stay inside the results document — the
-// sweep itself succeeded, matching CLI semantics where a partially
-// failed grid still writes its results file.
-func (s *Server) runSweep(sw *experiment.Sweep, cells []experiment.Cell, fp string) ([]byte, error) {
-	// Back warm-fork checkpoints with the snapshot cache tier: a repeated
-	// sweep (or one sharing warm groups with an earlier sweep) restores the
-	// persisted checkpoint instead of re-simulating the warm-up.
+// source answers a request's cells through the cache: hits are served
+// without simulating, misses execute on the sweep's worker pool and are
+// stored (error cells excepted, so transient failures retry on the next
+// request). Warm-fork checkpoints go through the snapshot cache tier, so
+// a repeated sweep (or one sharing warm groups with an earlier sweep)
+// restores the persisted checkpoint instead of re-simulating the warm-up.
+func (s *Server) source(sw *experiment.Sweep, fp string) experiment.ResultSource {
 	sw.SnapshotSource = s.resolveSnapshot
-	src := func(c experiment.Cell) (experiment.Result, bool) {
+	return func(c experiment.Cell) (experiment.Result, bool) {
 		if h := testHookCellStart; h != nil {
 			h(c)
 		}
@@ -331,8 +215,6 @@ func (s *Server) runSweep(sw *experiment.Sweep, cells []experiment.Cell, fp stri
 			return sw.ExecuteCell(c)
 		}), true
 	}
-	results, _ := sw.RunCells(cells, src)
-	return experiment.MarshalJSONResults(results)
 }
 
 // resolveSnapshot answers one warm key from the snapshot cache tier,
@@ -344,6 +226,11 @@ func (s *Server) resolveSnapshot(key string, build func() ([]byte, error)) ([]by
 		return blob, nil
 	}
 	return s.snapshots.Do(key, func() ([]byte, error) {
+		// A leader that finished between the lookup above and this call
+		// has stored the blob already.
+		if blob, ok := s.cache.peekSnapshot(key); ok {
+			return blob, nil
+		}
 		blob, err := build()
 		if err == nil {
 			s.cache.PutSnapshot(key, blob)
@@ -362,6 +249,11 @@ func (s *Server) resolveKey(key string, exec func() experiment.Result) experimen
 		return res
 	}
 	res, _ := s.results.Do(key, func() (experiment.Result, error) {
+		// A leader that finished between the lookup above and this call
+		// has stored the result already: a late waiter must not execute.
+		if res, ok := s.cache.peek(key); ok {
+			return res, nil
+		}
 		res := exec()
 		s.storeResult(key, res)
 		if res.Error != "" {
@@ -397,18 +289,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSONBody(w, http.StatusOK, res)
 }
 
-func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSONBody(w, http.StatusOK, s.cache.Stats())
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSONBody(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 // Identity is the JSON body of GET /identz: what this worker is and which
 // schema versions it speaks. The cluster coordinator probes it before
 // admitting a worker into the rendezvous ring — merging results from a
@@ -434,16 +314,8 @@ func Identz() Identity {
 	}
 }
 
-func (s *Server) handleIdentz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSONBody(w, http.StatusOK, Identz())
-}
-
 // testHookCellStart, when non-nil, is called at the start of every cell
-// resolution inside runSweep. Shutdown tests use it to hold a cell (and
+// resolution inside source. Shutdown tests use it to hold a cell (and
 // therefore its job) deterministically in flight while they assert the
 // drain-then-save ordering; production code never sets it.
 var testHookCellStart func(experiment.Cell)

@@ -246,64 +246,6 @@ func TestHealthzAndStatsEndpoints(t *testing.T) {
 	}
 }
 
-func TestSweepRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for _, tc := range []struct {
-		name, body string
-	}{
-		{"bad json", `{`},
-		{"unknown field", `{"wrokloads": ["2_MIX"]}`},
-		{"unknown workload", `{"workloads": ["9_NOPE"]}`},
-		{"bad policy", `{"policies": ["ICOUNT"]}`},
-		{"bad engine", `{"engines": ["quantum"]}`},
-	} {
-		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %s, want 400", tc.name, resp.Status)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/sweep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /sweep = %s, want 405", resp.Status)
-	}
-}
-
-// A body over maxSweepRequestBytes is refused with 413 before anything
-// runs: the request is async and otherwise valid, yet no job is created.
-func TestOversizedSweepBodyRejected(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	body := `{"async": true, "workloads": ["2_MIX"], "sample": "` +
-		strings.Repeat("x", maxSweepRequestBytes) + `"}`
-	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %s, want 413", resp.Status)
-	}
-	if _, ok := srv.jobs.Get("job-1"); ok {
-		t.Fatal("oversized request created a job")
-	}
-}
-
-func TestUnknownJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	c := &Client{BaseURL: ts.URL}
-	if _, err := c.get("/jobs/job-999"); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("unknown job: %v", err)
-	}
-}
-
 // Persistence: a server restart with the same cache file serves the grid
 // from cache without re-simulating.
 func TestCacheFileSurvivesRestart(t *testing.T) {
