@@ -20,7 +20,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -89,7 +88,7 @@ commands:
              across workers by rendezvous hashing, failures re-dispatch
   list       print the available engines, policies, workloads, benchmarks
   compare    diff two sweep results files and flag IPC regressions
-             (multi-seed cell-groups gate on 95% CI overlap)
+             (per-seed IPC ratios new/old, gated on their 95% CI)
   aggregate  reduce a sweep results file across its seed axis to
              per-group mean/stddev/95% CI statistics
 
@@ -253,7 +252,6 @@ type sweepSpec struct {
 	request server.SweepRequest // the same grid, as a server request
 	server  string              // non-empty: POST to this base URL instead of running locally
 	out     string
-	aggOut  string // non-empty: write the seed-axis aggregate JSON here
 	table   bool
 	quiet   bool
 }
@@ -268,7 +266,6 @@ func parseSweepFlags(args []string) (*sweepSpec, error) {
 	jobs := fs.Int("jobs", 0, "parallel workers (0 = NumCPU; ignored with -server)")
 	srvURL := fs.String("server", "", "dispatch the sweep to this `smtfetch serve` base URL instead of running locally")
 	out := fs.String("o", "", "write results JSON to this file ('-' or empty = stdout)")
-	aggOut := fs.String("agg-o", "", "write the per-group aggregate JSON (mean/stddev/95% CI across seeds) to this file")
 	table := fs.Bool("table", true, "print the aligned result table to stderr")
 	quiet := fs.Bool("q", false, "suppress per-cell progress lines")
 	sample := fs.String("sample", "", "SMARTS-style sampled measurement per cell, detail:N,skip:M (empty = full detail)")
@@ -281,7 +278,6 @@ func parseSweepFlags(args []string) (*sweepSpec, error) {
 	spec := &sweepSpec{
 		server: *srvURL,
 		out:    *out,
-		aggOut: *aggOut,
 		table:  *table,
 		quiet:  *quiet,
 		sweep: experiment.Sweep{
@@ -346,8 +342,8 @@ func runSweepLocal(spec *sweepSpec) error {
 		}
 	}
 
-	// Prepare (expand + validate, once) before touching the output files,
-	// then open them before running: a typo'd workload must not truncate an
+	// Prepare (expand + validate, once) before touching the output file,
+	// then open it before running: a typo'd workload must not truncate an
 	// existing baseline, and an unwritable path must fail in milliseconds,
 	// not after a multi-hour grid.
 	cells, err := sw.Prepare()
@@ -363,24 +359,9 @@ func runSweepLocal(spec *sweepSpec) error {
 		defer f.Close()
 		w = f
 	}
-	aw, err := openAggOut(spec)
-	if err != nil {
-		return err
-	}
-	if aw != nil {
-		defer aw.Close()
-	}
 
 	results, runErr := sw.RunCells(cells, nil)
-	return writeSweepOutput(w, aw, spec, results, runErr)
-}
-
-// openAggOut opens the -agg-o file fail-fast; nil when the flag is unset.
-func openAggOut(spec *sweepSpec) (*os.File, error) {
-	if spec.aggOut == "" {
-		return nil, nil
-	}
-	return os.Create(spec.aggOut)
+	return writeSweepOutput(w, spec, results, runErr)
 }
 
 func runSweepRemote(spec *sweepSpec) error {
@@ -412,13 +393,6 @@ func runSweepRemote(spec *sweepSpec) error {
 		defer f.Close()
 		w = f
 	}
-	aw, err := openAggOut(spec)
-	if err != nil {
-		return err
-	}
-	if aw != nil {
-		defer aw.Close()
-	}
 
 	blob, err := c.Sweep(spec.request)
 	if err != nil {
@@ -445,41 +419,33 @@ func runSweepRemote(spec *sweepSpec) error {
 	if _, err := w.Write(blob); err != nil {
 		return err
 	}
-	return reportSweepOutcome(w, aw, spec, results, runErr)
+	return reportSweepOutcome(w, spec, results, runErr)
 }
 
 // writeSweepOutput renders the tables, writes the results document, and
 // qualifies the success message when cells failed.
-func writeSweepOutput(w, aw *os.File, spec *sweepSpec, results []experiment.Result, runErr error) error {
+func writeSweepOutput(w *os.File, spec *sweepSpec, results []experiment.Result, runErr error) error {
 	if results == nil {
 		return runErr
 	}
 	if err := experiment.WriteJSON(w, results); err != nil {
 		return err
 	}
-	return reportSweepOutcome(w, aw, spec, results, runErr)
+	return reportSweepOutcome(w, spec, results, runErr)
 }
 
 // reportSweepOutcome renders the per-cell table (plus the seed-axis
-// aggregate table when the grid carries replications), writes the
-// aggregate JSON when -agg-o was given, and qualifies the success message
-// when cells failed. Aggregation is always client-side, over the merged
-// result set — the sweep server knows nothing about seeds beyond the
-// per-cell cache key, so cached and fresh cells aggregate identically.
-func reportSweepOutcome(w, aw *os.File, spec *sweepSpec, results []experiment.Result, runErr error) error {
-	groups := experiment.Aggregate(results)
-	multiSeed := len(groups) > 0 && len(groups) < len(results)
+// aggregate table when the grid carries replications) and qualifies the
+// success message when cells failed. Aggregation is always client-side,
+// over the merged result set — the sweep server knows nothing about seeds
+// beyond the per-cell cache key, so cached and fresh cells aggregate
+// identically.
+func reportSweepOutcome(w *os.File, spec *sweepSpec, results []experiment.Result, runErr error) error {
 	if spec.table {
 		fmt.Fprint(os.Stderr, experiment.Table(results))
-		if multiSeed {
+		if groups := experiment.Aggregate(results); len(groups) > 0 && len(groups) < len(results) {
 			fmt.Fprint(os.Stderr, experiment.AggregateTable(groups))
 		}
-	}
-	if aw != nil {
-		if err := experiment.WriteAggregateJSON(aw, groups); err != nil {
-			return errors.Join(err, runErr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d aggregate groups to %s\n", len(groups), spec.aggOut)
 	}
 	if w != os.Stdout {
 		failed := 0
@@ -666,7 +632,7 @@ func cmdList(args []string) error {
 // "compare -tol x old new".
 func parseCompareArgs(args []string) (paths []string, tol float64, err error) {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	tolFlag := fs.Float64("tol", 0.02, "relative IPC drop tolerated before flagging a regression")
+	tolFlag := fs.Float64("tol", 0.02, "relative IPC drop tolerated before flagging a regression, in [0, 1)")
 	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		paths = append(paths, args[0])
 		args = args[1:]

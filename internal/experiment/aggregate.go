@@ -13,9 +13,8 @@ import (
 // seeds: sample size, mean, sample standard deviation, and the two-sided
 // 95% confidence interval of the mean (Student t). With fewer than two
 // samples the interval degenerates to the point estimate (Stddev 0,
-// CILow == CIHigh == Mean): a single run carries no spread information,
-// and callers that gate on intervals must not treat n=1 groups as having
-// one — Compare falls back to scalar-tolerance semantics there.
+// CILow == CIHigh == Mean): a single run carries no spread information.
+// Compare relies on that: one seed pair's interval is the pair itself.
 type Summary struct {
 	N      int     `json:"n"`
 	Mean   float64 `json:"mean"`
@@ -39,7 +38,9 @@ var tTable95 = [...]float64{
 }
 
 // tCrit95 returns the two-sided 95% Student-t critical value for df
-// degrees of freedom, stepping down to the normal 1.96 for large df.
+// degrees of freedom. Past the table it returns the value of the next
+// lower tabulated row (30, 40, 60, 120), which is at least the exact
+// value: between rows the interval errs wide, never narrow.
 func tCrit95(df int) float64 {
 	switch {
 	case df <= 0:
@@ -47,13 +48,13 @@ func tCrit95(df int) float64 {
 	case df < len(tTable95):
 		return tTable95[df]
 	case df <= 40:
-		return 2.021
+		return 2.042
 	case df <= 60:
-		return 2.000
+		return 2.021
 	case df <= 120:
-		return 1.980
+		return 2.000
 	default:
-		return 1.960
+		return 1.980
 	}
 }
 

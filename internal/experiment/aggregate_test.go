@@ -14,7 +14,7 @@ func approx(t *testing.T, name string, got, want float64) {
 }
 
 // Hand-computed replication statistics, including the degenerate cases the
-// CI-overlap gate depends on getting right: n=1 (no spread information)
+// paired compare gate depends on getting right: n=1 (no spread information)
 // and zero variance (a point interval).
 func TestSummarizeHandComputed(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
@@ -79,6 +79,20 @@ func TestTCrit95Monotone(t *testing.T) {
 			t.Fatalf("tCrit95(%d) = %v below the normal limit", df, c)
 		}
 		prev = c
+	}
+}
+
+func TestTCrit95ConservativeBetweenRows(t *testing.T) {
+	// Past the table, each df takes the next lower tabulated row, so the
+	// interval is never narrower than the exact one. Quantiles t(0.975, df)
+	// from the Student-t distribution, rounded to four decimals.
+	for _, c := range []struct {
+		df    int
+		exact float64
+	}{{31, 2.0395}, {41, 2.0195}, {61, 1.9996}, {121, 1.9798}} {
+		if got := tCrit95(c.df); got < c.exact {
+			t.Errorf("tCrit95(%d) = %v, below the exact %v", c.df, got, c.exact)
+		}
 	}
 }
 

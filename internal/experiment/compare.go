@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -17,7 +19,8 @@ type Delta struct {
 	// errored (an error cell's IPC 0 is a failure marker, not a value).
 	RelChange *float64 `json:"rel_change,omitempty"`
 
-	// Regression marks an IPC drop beyond the comparison tolerance.
+	// Regression marks the only seed pair of its cell-group as dropped
+	// beyond the comparison tolerance.
 	Regression bool `json:"regression"`
 	// MissingIn is "old" or "new" when the cell exists on only one side.
 	MissingIn string `json:"missing_in,omitempty"`
@@ -33,35 +36,33 @@ type Delta struct {
 	Errored bool `json:"errored,omitempty"`
 }
 
-// GroupDelta is the comparison of one CI-gated cell-group — a (workload,
-// engine, policy) configuration with at least two ok replications on each
-// side. The seed axis is the replication axis, so the two sides need not
-// share seed sets or sample sizes; the means and their 95% confidence
-// intervals are what get compared.
+// GroupDelta is the paired comparison of one (workload, engine, policy)
+// cell-group with at least two seed pairs, or of a group that has ok
+// cells on both sides but no seed in common.
 type GroupDelta struct {
 	// Key is the group identity: workload/engine/policy, no seed.
 	Key string `json:"key"`
 
-	OldIPC Summary `json:"old_ipc"`
-	NewIPC Summary `json:"new_ipc"`
+	// Ratio summarizes the per-seed IPC ratios new/old over the group's
+	// pairs: the seeds both sides ran ok, with a nonzero old IPC.
+	Ratio Summary `json:"ratio"`
 
-	// RelChange is the mean-to-mean relative change, (newMean-oldMean)/
-	// oldMean; nil when the old mean is zero.
-	RelChange *float64 `json:"rel_change,omitempty"`
-
-	// Regression marks a statistically resolvable IPC drop: the new mean
-	// lies below the old 95% CI's lower bound AND the two intervals do not
-	// overlap. Overlapping intervals mean the difference is not
-	// distinguishable from seed noise at this sample size, so the gate
-	// stays green. The scalar tolerance plays no role here.
+	// Regression marks a group whose 95% ratio interval lies wholly
+	// below 1−tol.
 	Regression bool `json:"regression"`
+	// Unpaired marks a group with ok cells on both sides and no seed in
+	// common: there is nothing to pair, so the gate fails rather than
+	// let the group through unjudged.
+	Unpaired bool `json:"unpaired,omitempty"`
 }
 
 // Report aggregates a comparison. It is the CI perf gate: a sweep is
 // compared against the checked-in baseline and the build fails on
-// Regressions > 0, GroupRegressions > 0, or Errored > 0.
+// Regressions > 0, Unpaired > 0, or Errored > 0.
 type Report struct {
-	Tolerance   float64 `json:"tolerance"`
+	Tolerance float64 `json:"tolerance"`
+	// Deltas holds the per-cell rows: missing and errored cells, zero-IPC
+	// baselines, and the pair of every one-pair group.
 	Deltas      []Delta `json:"deltas"`
 	Regressions int     `json:"regressions"`
 	Missing     int     `json:"missing"`
@@ -69,33 +70,32 @@ type Report struct {
 	// and failed in new); error-to-ok and error-to-error cells are visible
 	// in their Deltas but do not fail the gate.
 	Errored int `json:"errored"`
+	// Unpaired counts the groups that GroupDelta.Unpaired marks.
+	Unpaired int `json:"unpaired,omitempty"`
 
-	// Groups holds the CI-gated cell-group comparisons; empty (and absent
-	// from the JSON) when neither side has multi-seed replications, so
-	// single-seed reports are unchanged from the scalar-tolerance era.
+	// Groups holds one row per group with two or more pairs, and one per
+	// unpaired group; empty (and absent from the JSON) on single-seed
+	// files that share their seeds.
 	Groups []GroupDelta `json:"groups,omitempty"`
-	// GroupRegressions counts groups whose mean IPC dropped with
-	// non-overlapping 95% confidence intervals.
-	GroupRegressions int `json:"group_regressions,omitempty"`
 }
 
 // Err returns the gate verdict: non-nil when the report carries
-// regressions (scalar or CI-gated) or ok-to-error cells.
+// regressions, unpaired groups or ok-to-error cells.
 func (rep Report) Err() error {
-	if rep.Regressions == 0 && rep.Errored == 0 && rep.GroupRegressions == 0 {
-		return nil
-	}
 	var parts []string
 	if rep.Regressions > 0 {
 		parts = append(parts, fmt.Sprintf("%d IPC regressions beyond %.1f%% tolerance", rep.Regressions, 100*rep.Tolerance))
 	}
-	if rep.GroupRegressions > 0 {
-		parts = append(parts, fmt.Sprintf("%d mean-IPC regressions outside the 95%% CI overlap gate", rep.GroupRegressions))
+	if rep.Unpaired > 0 {
+		parts = append(parts, fmt.Sprintf("%d cell-groups with no seed in common", rep.Unpaired))
 	}
 	if rep.Errored > 0 {
 		parts = append(parts, fmt.Sprintf("%d cells newly errored", rep.Errored))
 	}
-	return fmt.Errorf("%s", strings.Join(parts, ", "))
+	if len(parts) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(parts, ", "))
 }
 
 // keyResults indexes results by cell key, rejecting duplicates: a file
@@ -114,41 +114,47 @@ func keyResults(side string, rs []Result) (map[string]Result, error) {
 	return byKey, nil
 }
 
-// okReplications counts each cell-group's non-errored cells.
-func okReplications(rs []Result) map[string]int {
-	n := make(map[string]int)
-	for _, r := range rs {
-		if r.Error == "" {
-			n[r.GroupKey()]++
-		}
-	}
-	return n
+// pairing collects one cell-group's seed pairs, in canonical seed order
+// so the floating-point sums are deterministic.
+type pairing struct {
+	ratios []float64 // new/old per pair, for the report
+	// scaled holds new/(old·(1−tol)) per pair, the verdict's input: its
+	// comparison against 1 is exact where the ratios' against 1−tol would
+	// round.
+	scaled                []float64
+	okOld, okNew, matched bool
+	regression            bool
 }
 
-// Compare matches two result sets and flags IPC regressions.
+// Compare matches two result sets by cell key and flags IPC regressions
+// with one rule. For each (workload, engine, policy) group it pairs old
+// and new cells by seed — both sides simulate the same program there,
+// since the seed comes from the cell key — takes the per-seed IPC ratios
+// new/old, and flags the group when the upper bound of their 95%
+// t-interval lies below 1−tol (tol is a fraction: 0.02 tolerates a 2%
+// drop). Improvements are never flagged.
 //
-// Single-replication cells — any (workload, engine, policy) group where
-// either side has fewer than two ok cells — are compared cell-by-cell by
-// key, flagging drops larger than tol (a fraction: 0.02 tolerates a 2%
-// drop). Cells present on only one side are reported as missing, never as
-// regressions; cells that errored on either side skip the IPC comparison
-// and are surfaced via the delta's OldError/NewError, with an ok-to-error
-// transition counting in Report.Errored and failing Report.Err. This is
-// the exact pre-replication behavior, so existing single-seed baselines
-// keep gating bit-for-bit identically.
+// The rule is evaluated on the ratios divided by 1−tol against 1, so one
+// pair — a point interval — reduces exactly to the per-cell check
+// new < old·(1−tol). A one-pair group reports that pair as a per-cell
+// Delta; a group of two or more pairs reports one GroupDelta instead of
+// per-cell rows.
 //
-// Groups with at least two ok replications on both sides are CI-gated
-// instead: each side's seeds aggregate to a mean and 95% confidence
-// interval, and the group regresses only when the new mean falls below
-// the old interval's lower bound with non-overlapping intervals — a drop
-// the replications can actually distinguish from seed noise. Their ok
-// cells produce no per-cell deltas (the seed sets need not even match);
-// errored cells in such groups still get per-cell deltas and the usual
-// ok-to-error gating. Duplicate cell keys on either side are an error.
+// Errored cells and zero-IPC baselines never form pairs. Cells present on
+// only one side are reported as missing, never as regressions; cells that
+// errored on either side are surfaced via the delta's OldError/NewError,
+// with an ok-to-error transition counting in Report.Errored. A group with
+// ok cells on both sides but no seed in common is Unpaired. Each of these
+// fails Report.Err.
+//
+// Duplicate cell keys on either side are an error, and so is a tolerance
+// that would switch the gate off: NaN, infinite, or at least 1. A negative
+// tolerance clamps to 0.
 func Compare(old, new []Result, tol float64) (Report, error) {
-	if tol < 0 {
-		tol = 0
+	if math.IsNaN(tol) || math.IsInf(tol, 0) || tol >= 1 {
+		return Report{}, fmt.Errorf("experiment: tolerance %v must be finite and below 1", tol)
 	}
+	tol = max(tol, 0)
 	oldByKey, err := keyResults("old", old)
 	if err != nil {
 		return Report{}, err
@@ -156,16 +162,6 @@ func Compare(old, new []Result, tol float64) (Report, error) {
 	newByKey, err := keyResults("new", new)
 	if err != nil {
 		return Report{}, err
-	}
-
-	// A group is CI-gated when both sides carry real replication: at
-	// least two ok cells each.
-	okOld, okNew := okReplications(old), okReplications(new)
-	ciGated := make(map[string]bool)
-	for gk, n := range okOld {
-		if n >= 2 && okNew[gk] >= 2 {
-			ciGated[gk] = true
-		}
 	}
 
 	// One representative result per unique cell key, in canonical
@@ -181,38 +177,53 @@ func Compare(old, new []Result, tol float64) (Report, error) {
 	}
 	sort.Slice(reps, func(i, j int) bool { return lessResult(reps[i], reps[j]) })
 
-	rep := Report{Tolerance: tol}
-	groupOrder := make([]string, 0, len(ciGated))
-	groupVals := make(map[string]*[2][]float64)
+	thresh := 1 - tol
+	var order []string
+	groups := make(map[string]*pairing)
 	for _, rc := range reps {
-		k := rc.Key()
-		gk := rc.GroupKey()
+		k, gk := rc.Key(), rc.GroupKey()
+		g, ok := groups[gk]
+		if !ok {
+			g = &pairing{}
+			groups[gk] = g
+			order = append(order, gk)
+		}
 		o, inOld := oldByKey[k]
 		n, inNew := newByKey[k]
-		if ciGated[gk] {
-			// Ok cells feed their side's aggregate (in sorted order, so
-			// the floating-point sums are deterministic) and produce no
-			// per-cell delta: differing seed sets are just differing
-			// sample sizes, not missing cells. Only error-bearing cells
-			// fall through to per-cell reporting.
-			gv, ok := groupVals[gk]
-			if !ok {
-				gv = &[2][]float64{}
-				groupVals[gk] = gv
-				groupOrder = append(groupOrder, gk)
-			}
-			if inOld && o.Error == "" {
-				gv[0] = append(gv[0], o.IPC)
-			}
-			if inNew && n.Error == "" {
-				gv[1] = append(gv[1], n.IPC)
-			}
-			oErr := inOld && o.Error != ""
-			nErr := inNew && n.Error != ""
-			if !oErr && !nErr {
-				continue
+		okOld, okNew := inOld && o.Error == "", inNew && n.Error == ""
+		g.okOld = g.okOld || okOld
+		g.okNew = g.okNew || okNew
+		if okOld && okNew {
+			g.matched = true
+			if o.IPC != 0 {
+				g.ratios = append(g.ratios, n.IPC/o.IPC)
+				g.scaled = append(g.scaled, n.IPC/(o.IPC*thresh))
 			}
 		}
+	}
+
+	rep := Report{Tolerance: tol}
+	for _, gk := range order {
+		g := groups[gk]
+		s := summarize(g.scaled)
+		g.regression = s.N > 0 && s.CIHigh < 1
+		if g.regression {
+			rep.Regressions++
+		}
+		switch {
+		case s.N >= 2:
+			rep.Groups = append(rep.Groups, GroupDelta{Key: gk, Ratio: summarize(g.ratios), Regression: g.regression})
+		case g.okOld && g.okNew && !g.matched:
+			rep.Unpaired++
+			rep.Groups = append(rep.Groups, GroupDelta{Key: gk, Unpaired: true})
+		}
+	}
+
+	for _, rc := range reps {
+		k := rc.Key()
+		g := groups[rc.GroupKey()]
+		o, inOld := oldByKey[k]
+		n, inNew := newByKey[k]
 		d := Delta{Key: k, OldIPC: o.IPC, NewIPC: n.IPC}
 		switch {
 		case !inOld:
@@ -228,31 +239,16 @@ func Compare(old, new []Result, tol float64) (Report, error) {
 				d.Errored = true
 				rep.Errored++
 			}
+		case o.IPC == 0:
+			// A zero baseline is no pair: no ratio, never a regression.
+		case len(g.ratios) >= 2:
+			continue // reported by the group's row
 		default:
-			if o.IPC != 0 {
-				rc := (n.IPC - o.IPC) / o.IPC
-				d.RelChange = &rc
-			}
-			if n.IPC < o.IPC*(1-tol) {
-				d.Regression = true
-				rep.Regressions++
-			}
+			rc := (n.IPC - o.IPC) / o.IPC
+			d.RelChange = &rc
+			d.Regression = g.regression
 		}
 		rep.Deltas = append(rep.Deltas, d)
-	}
-
-	for _, gk := range groupOrder {
-		gv := groupVals[gk]
-		gd := GroupDelta{Key: gk, OldIPC: summarize(gv[0]), NewIPC: summarize(gv[1])}
-		if gd.OldIPC.Mean != 0 {
-			rc := (gd.NewIPC.Mean - gd.OldIPC.Mean) / gd.OldIPC.Mean
-			gd.RelChange = &rc
-		}
-		if gd.NewIPC.Mean < gd.OldIPC.CILow && gd.NewIPC.CIHigh < gd.OldIPC.CILow {
-			gd.Regression = true
-			rep.GroupRegressions++
-		}
-		rep.Groups = append(rep.Groups, gd)
 	}
 	return rep, nil
 }
@@ -270,75 +266,74 @@ func ipcCell(d Delta, side string) string {
 	return fmt.Sprintf("%.3f", d.NewIPC)
 }
 
-// String renders the report: the CI-gated group table (when any groups
-// exist) with per-side means and 95% CI half-widths, then the per-cell
-// table, then a one-line verdict. Single-seed reports — no groups —
-// render exactly as they did before the replication layer existed.
+// String renders the report: the group table (when any groups exist)
+// with the mean per-seed IPC change and its 95% CI half-width, then the
+// per-cell table, then a one-line verdict. Reports without groups — every
+// single-seed comparison — render exactly as they did before seed
+// replication existed.
 func (rep Report) String() string {
 	var b strings.Builder
 	if len(rep.Groups) > 0 {
-		rows := [][]string{{"GROUP", "N", "OLD.IPC", "OLD.CI95", "NEW.IPC", "NEW.CI95", "CHANGE", "FLAG"}}
+		rows := [][]string{{"GROUP", "PAIRS", "CHANGE", "CHANGE.CI95", "FLAG"}}
 		for _, g := range rep.Groups {
-			change := "n/a"
-			if g.RelChange != nil {
-				change = fmt.Sprintf("%+.2f%%", 100**g.RelChange)
+			change, ci, flag := "n/a", "n/a", ""
+			if g.Unpaired {
+				flag = "UNPAIRED: no seed in common"
+			} else {
+				change = fmt.Sprintf("%+.2f%%", 100*(g.Ratio.Mean-1))
+				ci = fmt.Sprintf("±%.2f%%", 100*g.Ratio.CIHalfWidth())
+				if g.Regression {
+					flag = "REGRESSION"
+				}
 			}
-			flag := ""
-			if g.Regression {
-				flag = "REGRESSION"
+			rows = append(rows, []string{g.Key, fmt.Sprintf("%d", g.Ratio.N), change, ci, flag})
+		}
+		b.WriteString(renderAligned(rows))
+		b.WriteByte('\n')
+	}
+	if len(rep.Deltas) > 0 || len(rep.Groups) == 0 {
+		rows := [][]string{{"CELL", "OLD.IPC", "NEW.IPC", "CHANGE", "FLAG"}}
+		for _, d := range rep.Deltas {
+			change, flag := "", ""
+			switch {
+			case d.MissingIn != "":
+				flag = "missing in " + d.MissingIn
+			case d.Errored:
+				change = "n/a"
+				flag = "ERROR(new): " + d.NewError
+			case d.OldError != "" && d.NewError != "":
+				change = "n/a"
+				flag = "error on both sides"
+			case d.OldError != "":
+				change = "n/a"
+				flag = "error in old: " + d.OldError
+			case d.RelChange == nil:
+				change = "n/a"
+			default:
+				change = fmt.Sprintf("%+.2f%%", 100**d.RelChange)
+				if d.Regression {
+					flag = "REGRESSION"
+				}
 			}
 			rows = append(rows, []string{
-				g.Key,
-				fmt.Sprintf("%d/%d", g.OldIPC.N, g.NewIPC.N),
-				fmt.Sprintf("%.3f", g.OldIPC.Mean),
-				fmt.Sprintf("%.4f", g.OldIPC.CIHalfWidth()),
-				fmt.Sprintf("%.3f", g.NewIPC.Mean),
-				fmt.Sprintf("%.4f", g.NewIPC.CIHalfWidth()),
+				d.Key,
+				ipcCell(d, "old"),
+				ipcCell(d, "new"),
 				change,
 				flag,
 			})
 		}
 		b.WriteString(renderAligned(rows))
-		fmt.Fprintf(&b, "%d cell-groups gated on 95%% CI overlap, %d mean-IPC regressions\n",
-			len(rep.Groups), rep.GroupRegressions)
-		if len(rep.Deltas) == 0 {
-			return b.String()
-		}
-		b.WriteByte('\n')
 	}
-	rows := [][]string{{"CELL", "OLD.IPC", "NEW.IPC", "CHANGE", "FLAG"}}
-	for _, d := range rep.Deltas {
-		change, flag := "", ""
-		switch {
-		case d.MissingIn != "":
-			flag = "missing in " + d.MissingIn
-		case d.Errored:
-			change = "n/a"
-			flag = "ERROR(new): " + d.NewError
-		case d.OldError != "" && d.NewError != "":
-			change = "n/a"
-			flag = "error on both sides"
-		case d.OldError != "":
-			change = "n/a"
-			flag = "error in old: " + d.OldError
-		case d.RelChange == nil:
-			change = "n/a"
-		default:
-			change = fmt.Sprintf("%+.2f%%", 100**d.RelChange)
-			if d.Regression {
-				flag = "REGRESSION"
-			}
-		}
-		rows = append(rows, []string{
-			d.Key,
-			ipcCell(d, "old"),
-			ipcCell(d, "new"),
-			change,
-			flag,
-		})
+	compared := fmt.Sprintf("%d cells", len(rep.Deltas))
+	if len(rep.Groups) > 0 {
+		compared += fmt.Sprintf(" and %d cell-groups", len(rep.Groups))
 	}
-	b.WriteString(renderAligned(rows))
-	fmt.Fprintf(&b, "%d cells compared, %d regressions (tolerance %.1f%%), %d newly errored, %d missing\n",
-		len(rep.Deltas), rep.Regressions, 100*rep.Tolerance, rep.Errored, rep.Missing)
+	fmt.Fprintf(&b, "%s compared, %d regressions (tolerance %.1f%%), %d newly errored, %d missing",
+		compared, rep.Regressions, 100*rep.Tolerance, rep.Errored, rep.Missing)
+	if rep.Unpaired > 0 {
+		fmt.Fprintf(&b, ", %d unpaired", rep.Unpaired)
+	}
+	b.WriteByte('\n')
 	return b.String()
 }

@@ -216,12 +216,48 @@ func seeded(workload, engine, policy string, ipcs ...float64) []Result {
 	return rs
 }
 
-// Two 3-seed runs of the same configuration whose means differ inside the
-// seed noise must pass: the CI-overlap gate exists precisely so replication
-// noise stops failing builds.
-func TestCompareCIOverlapToleratesNoise(t *testing.T) {
-	old := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90)  // mean 2.00, CI ±0.248
-	new_ := seeded("2_MIX", "stream", "ICOUNT.1.8", 1.95, 2.05, 2.15) // mean 2.05, overlapping
+// With one seed pair the paired interval is the pair itself, so the
+// verdict must be exactly the per-cell check new < old·(1−tol), exact
+// floating-point boundaries and their neighbours included.
+func TestCompareOnePairMatchesTolerance(t *testing.T) {
+	for _, o := range []float64{0.3, 1, 1.7, 2.9, 3, 7.77} {
+		for _, tol := range []float64{-0.5, 0, 0.001, 0.02, 0.1, 0.3, 0.999} {
+			bound := o * (1 - max(tol, 0))
+			for _, n := range []float64{
+				bound, math.Nextafter(bound, 0), math.Nextafter(bound, math.Inf(1)),
+				0, o / 2, o, o * 1.1,
+			} {
+				rep := mustCompare(t, []Result{res("2_MIX", "stream", "ICOUNT.1.8", 1, o)},
+					[]Result{res("2_MIX", "stream", "ICOUNT.1.8", 1, n)}, tol)
+				want := n < bound
+				if got := rep.Regressions == 1; got != want || rep.Deltas[0].Regression != want {
+					t.Errorf("old %v new %v tol %v: Regressions %d, flag %v, want %v",
+						o, n, tol, rep.Regressions, rep.Deltas[0].Regression, want)
+				}
+				if len(rep.Groups) != 0 {
+					t.Fatalf("one pair produced a group row: %+v", rep.Groups)
+				}
+			}
+		}
+	}
+}
+
+// A tolerance that would switch the gate off is an error, not a pass.
+func TestCompareRejectsGateOffTolerance(t *testing.T) {
+	old := []Result{res("2_MIX", "stream", "ICOUNT.1.8", 1, 2.0)}
+	new_ := []Result{res("2_MIX", "stream", "ICOUNT.1.8", 1, 0.1)}
+	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1, 1.5} {
+		if _, err := Compare(old, new_, tol); err == nil || !strings.Contains(err.Error(), "tolerance") {
+			t.Errorf("tol %v: err = %v, want a tolerance error", tol, err)
+		}
+	}
+}
+
+// Two 3-seed runs whose per-seed ratios scatter around 1 must pass: the
+// ratio interval is wide enough to reach above 1−tol.
+func TestComparePairedToleratesNoise(t *testing.T) {
+	old := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90)
+	new_ := seeded("2_MIX", "stream", "ICOUNT.1.8", 1.95, 2.05, 2.15) // ratios 0.975, 0.976, 1.132
 	rep := mustCompare(t, old, new_, 0.001)
 	if len(rep.Groups) != 1 {
 		t.Fatalf("Groups = %+v, want 1 group", rep.Groups)
@@ -230,72 +266,104 @@ func TestCompareCIOverlapToleratesNoise(t *testing.T) {
 	if g.Key != "2_MIX/stream/ICOUNT.1.8" {
 		t.Fatalf("group key = %q", g.Key)
 	}
-	if g.OldIPC.N != 3 || g.NewIPC.N != 3 {
-		t.Fatalf("group Ns = %d/%d", g.OldIPC.N, g.NewIPC.N)
+	if g.Ratio.N != 3 {
+		t.Fatalf("group pairs = %d", g.Ratio.N)
 	}
-	if g.Regression || rep.GroupRegressions != 0 {
+	if g.Regression || rep.Regressions != 0 {
 		t.Fatalf("noise flagged as regression: %+v", g)
 	}
-	// The ok replications are absorbed into the group — no per-cell
-	// deltas, no scalar regressions even at a tolerance the per-seed
-	// noise would blow through.
-	if len(rep.Deltas) != 0 || rep.Regressions != 0 || rep.Missing != 0 {
+	// The pairs are summarized in the group row: no per-cell deltas.
+	if len(rep.Deltas) != 0 || rep.Missing != 0 {
 		t.Fatalf("per-cell leakage: %+v", rep)
 	}
 	if rep.Err() != nil {
 		t.Fatalf("Err() = %v", rep.Err())
 	}
+
+	// The gate is on the interval's upper bound, not the mean: a mean
+	// ratio of 0.95 whose interval reaches above 1−tol is not resolvable.
+	flat := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.0, 2.0, 2.0)
+	noisy := seeded("2_MIX", "stream", "ICOUNT.1.8", 1.7, 2.1, 1.9) // ratios 0.85, 1.05, 0.95
+	rep = mustCompare(t, flat, noisy, 0.02)
+	if g := rep.Groups[0]; g.Regression || g.Ratio.CIHigh < 0.98 || g.Ratio.Mean >= 0.98 {
+		t.Fatalf("noisy mean drop: %+v", g)
+	}
 }
 
-// An injected true IPC drop — new mean below the old CI with
-// non-overlapping intervals — must fail the gate.
-func TestCompareCIOverlapFlagsTrueDrop(t *testing.T) {
-	old := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90)  // CI [1.752, 2.248]
-	new_ := seeded("2_MIX", "stream", "ICOUNT.1.8", 1.00, 1.02, 0.98) // CI [0.950, 1.050]
+// A drop that every seed shows, far beyond the ratio interval, must fail
+// the gate; the same magnitude upward must not.
+func TestComparePairedFlagsTrueDrop(t *testing.T) {
+	old := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90)
+	new_ := seeded("2_MIX", "stream", "ICOUNT.1.8", 1.00, 1.02, 0.98) // ratios 0.500, 0.486, 0.516
 	rep := mustCompare(t, old, new_, 0.001)
-	if rep.GroupRegressions != 1 || !rep.Groups[0].Regression {
+	if rep.Regressions != 1 || !rep.Groups[0].Regression {
 		t.Fatalf("true drop not flagged: %+v", rep.Groups)
 	}
-	if rc := rep.Groups[0].RelChange; rc == nil || math.Abs(*rc-(-0.5)) > 1e-9 {
-		t.Fatalf("RelChange = %v, want -0.5", rc)
+	want := (1.00/2.00 + 1.02/2.10 + 0.98/1.90) / 3
+	if m := rep.Groups[0].Ratio.Mean; math.Abs(m-want) > 1e-9 {
+		t.Fatalf("mean ratio = %v, want %v", m, want)
 	}
 	err := rep.Err()
-	if err == nil || !strings.Contains(err.Error(), "CI overlap") {
-		t.Fatalf("Err() = %v, want CI-overlap verdict", err)
+	if err == nil || !strings.Contains(err.Error(), "1 IPC regressions beyond 0.1% tolerance") {
+		t.Fatalf("Err() = %v, want the regression verdict", err)
 	}
-	if s := rep.String(); !strings.Contains(s, "REGRESSION") || !strings.Contains(s, "OLD.CI95") {
-		t.Fatalf("report missing group table:\n%s", s)
+	s := rep.String()
+	for _, frag := range []string{"PAIRS", "CHANGE.CI95", "REGRESSION", "-49.95%",
+		"0 cells and 1 cell-groups compared, 1 regressions (tolerance 0.1%)"} {
+		if !strings.Contains(s, frag) {
+			t.Fatalf("report missing %q:\n%s", frag, s)
+		}
 	}
 
-	// The same magnitude upward is an improvement, not a regression: the
-	// gate is one-sided, like the scalar-tolerance gate.
 	rep = mustCompare(t, new_, old, 0.001)
-	if rep.GroupRegressions != 0 {
+	if rep.Regressions != 0 {
 		t.Fatalf("improvement flagged: %+v", rep.Groups)
 	}
 }
 
-// Zero-variance replications give point intervals: any true drop is
-// resolvable, and identical results are never flagged.
-func TestCompareCIOverlapZeroVariance(t *testing.T) {
+// Zero-variance ratios give point intervals: any drop beyond the
+// tolerance is resolvable, any drop inside it passes, and identical
+// results are never flagged.
+func TestComparePairedZeroVariance(t *testing.T) {
 	same := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.0, 2.0, 2.0)
-	if rep := mustCompare(t, same, same, 0); rep.GroupRegressions != 0 || rep.Err() != nil {
+	if rep := mustCompare(t, same, same, 0); rep.Regressions != 0 || rep.Err() != nil {
 		t.Fatalf("self-compare failed: %+v", rep)
 	}
 	lower := seeded("2_MIX", "stream", "ICOUNT.1.8", 1.999, 1.999, 1.999)
-	if rep := mustCompare(t, same, lower, 0); rep.GroupRegressions != 1 {
+	if rep := mustCompare(t, same, lower, 0); rep.Regressions != 1 {
 		t.Fatalf("zero-variance drop not flagged: %+v", rep.Groups)
+	}
+	// The tolerance applies to multi-seed groups too: the same 0.05% drop
+	// is inside a 2% tolerance. (The unpaired CI-overlap gate this rule
+	// replaced flagged it, while the same drop on one seed passed.)
+	if rep := mustCompare(t, same, lower, 0.02); rep.Regressions != 0 || rep.Err() != nil {
+		t.Fatalf("drop inside tolerance flagged: %+v", rep.Groups)
 	}
 }
 
-// CI gating needs >= 2 ok replications on BOTH sides; otherwise the group
-// keeps the scalar-tolerance per-cell semantics, including mixed files.
+// A uniform 5% drop over seeds whose IPCs spread widely must fail: each
+// seed's own ratio is 0.95. (The unpaired CI-overlap gate passed it, as the
+// seed-to-seed spread made the two intervals overlap.)
+func TestComparePairedUniformDrop(t *testing.T) {
+	old := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.0, 2.4, 1.6)
+	new_ := seeded("2_MIX", "stream", "ICOUNT.1.8", 1.9, 2.28, 1.52)
+	rep := mustCompare(t, old, new_, 0.02)
+	if rep.Regressions != 1 || len(rep.Groups) != 1 || !rep.Groups[0].Regression {
+		t.Fatalf("uniform 5%% drop not flagged: %+v", rep)
+	}
+	if rep.Err() == nil {
+		t.Fatal("Err() nil despite a regression")
+	}
+}
+
+// A group needs two or more seed pairs for a group row; with one pair it
+// keeps per-cell semantics, including on mixed files.
 func TestCompareCIRequiresReplicationOnBothSides(t *testing.T) {
 	multi := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90)
 	single := []Result{res("2_MIX", "stream", "ICOUNT.1.8", 1, 1.0)}
 	rep := mustCompare(t, multi, single, 0.02)
 	if len(rep.Groups) != 0 {
-		t.Fatalf("single-sided replication CI-gated: %+v", rep.Groups)
+		t.Fatalf("one-pair group got a group row: %+v", rep.Groups)
 	}
 	// Per-cell semantics: seed 1 compares (and regresses), seeds 2,3 are
 	// missing in new.
@@ -304,31 +372,45 @@ func TestCompareCIRequiresReplicationOnBothSides(t *testing.T) {
 	}
 }
 
-// The seed axis is a replication axis: the two sides need not share seed
-// sets or sample sizes, and differing seeds are not "missing" cells.
+// Pairs are formed by seed. Seeds on one side only are missing cells; a
+// group with ok cells on both sides and no seed in common cannot be judged
+// and fails the gate, with or without a drop.
 func TestCompareCIDifferingSeedSets(t *testing.T) {
 	old := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90)
-	new_ := []Result{
-		res("2_MIX", "stream", "ICOUNT.1.8", 4, 2.01),
-		res("2_MIX", "stream", "ICOUNT.1.8", 5, 2.05),
-		res("2_MIX", "stream", "ICOUNT.1.8", 6, 1.99),
-		res("2_MIX", "stream", "ICOUNT.1.8", 7, 2.03),
+	shifted := func(f float64) []Result {
+		var rs []Result
+		for i, ipc := range []float64{2.01, 2.05, 1.99, 2.03} {
+			rs = append(rs, res("2_MIX", "stream", "ICOUNT.1.8", uint64(i+4), ipc*f))
+		}
+		return rs
 	}
-	rep := mustCompare(t, old, new_, 0.001)
-	if len(rep.Groups) != 1 || rep.Groups[0].OldIPC.N != 3 || rep.Groups[0].NewIPC.N != 4 {
-		t.Fatalf("groups = %+v", rep.Groups)
+	for _, f := range []float64{1, 0.5} {
+		rep := mustCompare(t, old, shifted(f), 0.001)
+		if rep.Unpaired != 1 || len(rep.Groups) != 1 || !rep.Groups[0].Unpaired || rep.Groups[0].Ratio.N != 0 {
+			t.Fatalf("disjoint seeds (x%v) not unpaired: %+v", f, rep)
+		}
+		if rep.Missing != 7 || rep.Regressions != 0 {
+			t.Fatalf("Missing/Regressions = %d/%d, want 7/0", rep.Missing, rep.Regressions)
+		}
+		if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "no seed in common") {
+			t.Fatalf("Err() = %v, want the unpaired verdict", err)
+		}
+		if s := rep.String(); !strings.Contains(s, "UNPAIRED") || !strings.Contains(s, "1 unpaired") {
+			t.Fatalf("report does not surface the unpaired group:\n%s", s)
+		}
 	}
-	if rep.Missing != 0 || len(rep.Deltas) != 0 {
-		t.Fatalf("differing seed sets reported as missing: %+v", rep)
-	}
-	if rep.Err() != nil {
-		t.Fatalf("Err() = %v", rep.Err())
+
+	// Overlapping seed sets pair on the shared seeds only.
+	partial := append(seeded("2_MIX", "stream", "ICOUNT.1.8", 2.50, 2.00, 2.10)[1:],
+		res("2_MIX", "stream", "ICOUNT.1.8", 4, 2.0))
+	rep := mustCompare(t, old, partial, 0.001)
+	if len(rep.Groups) != 1 || rep.Groups[0].Ratio.N != 2 || rep.Missing != 2 || rep.Unpaired != 0 {
+		t.Fatalf("partial overlap = %+v", rep)
 	}
 }
 
-// Error cells inside a CI-gated group keep per-cell error semantics: an
-// ok-to-error transition still fails the gate, and the errored cell's
-// IPC-0 marker stays out of the mean.
+// Error cells keep per-cell error semantics: an ok-to-error transition
+// still fails the gate, and the errored cell forms no pair.
 func TestCompareCIGroupWithErrorCell(t *testing.T) {
 	old := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90)
 	new_ := seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10)
@@ -337,34 +419,33 @@ func TestCompareCIGroupWithErrorCell(t *testing.T) {
 	new_ = append(new_, bad)
 
 	rep := mustCompare(t, old, new_, 0.001)
-	if len(rep.Groups) != 1 || rep.Groups[0].NewIPC.N != 2 {
+	if len(rep.Groups) != 1 || rep.Groups[0].Ratio.N != 2 {
 		t.Fatalf("groups = %+v", rep.Groups)
 	}
-	approxMean := rep.Groups[0].NewIPC.Mean
-	if math.Abs(approxMean-2.05) > 1e-9 {
-		t.Fatalf("errored cell leaked into the mean: %v", approxMean)
+	if m := rep.Groups[0].Ratio.Mean; m != 1 {
+		t.Fatalf("errored cell leaked into the ratios: mean %v", m)
 	}
 	if rep.Errored != 1 || len(rep.Deltas) != 1 || !rep.Deltas[0].Errored {
-		t.Fatalf("ok->error inside CI group not gated: %+v", rep)
+		t.Fatalf("ok->error inside a group not gated: %+v", rep)
 	}
 	if rep.Err() == nil {
 		t.Fatal("Err() nil despite a newly errored cell")
 	}
 }
 
-// A multi-seed file mixing CI-gated and single-seed groups applies each
-// group's semantics independently.
+// A multi-seed file mixing multi-pair and one-pair groups judges each
+// group on its own pairs.
 func TestCompareMixedGroupModes(t *testing.T) {
 	old := append(seeded("2_MIX", "stream", "ICOUNT.1.8", 2.00, 2.10, 1.90),
 		res("4_MIX", "stream", "ICOUNT.1.8", 1, 1.50))
 	new_ := append(seeded("2_MIX", "stream", "ICOUNT.1.8", 2.05, 1.95, 2.00),
-		res("4_MIX", "stream", "ICOUNT.1.8", 1, 1.40)) // -6.7% scalar regression
+		res("4_MIX", "stream", "ICOUNT.1.8", 1, 1.40)) // -6.7%: regression at 2%
 	rep := mustCompare(t, old, new_, 0.02)
-	if len(rep.Groups) != 1 || rep.GroupRegressions != 0 {
+	if len(rep.Groups) != 1 || rep.Groups[0].Regression {
 		t.Fatalf("groups = %+v", rep.Groups)
 	}
 	if len(rep.Deltas) != 1 || !rep.Deltas[0].Regression || rep.Regressions != 1 {
-		t.Fatalf("single-seed group lost scalar gating: %+v", rep.Deltas)
+		t.Fatalf("one-pair group lost its per-cell verdict: %+v", rep.Deltas)
 	}
 }
 
@@ -376,8 +457,8 @@ func TestCompareDeltaNumericSeedOrder(t *testing.T) {
 		res("2_MIX", "stream", "ICOUNT.1.8", 1, 2.0),
 		res("2_MIX", "stream", "ICOUNT.1.8", 2, 2.0),
 	}
-	// Single ok cell on the new side keeps the group out of CI gating, so
-	// every cell produces a delta whose order we can check.
+	// Single ok cell on the new side leaves the group one pair, so every
+	// cell produces a delta whose order we can check.
 	new_ := []Result{res("2_MIX", "stream", "ICOUNT.1.8", 1, 2.0)}
 	rep := mustCompare(t, old, new_, 0.02)
 	var keys []string

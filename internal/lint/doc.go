@@ -6,9 +6,8 @@
 // The simulator's headline properties are:
 //
 //   - bit-identical determinism: equal (config, workload, seed) always
-//     produces a byte-identical result document. The PR 5 content-keyed
-//     result cache and the PR 6 CI-overlap compare gate are both built on
-//     it.
+//     produces a byte-identical result document. The content-keyed result
+//     cache and the seed-paired compare gate are both built on it.
 //   - a 0 allocs/op cycle loop: the steady-state hot path (core.Cycle and
 //     everything it reaches) performs no heap allocation, enforced after
 //     the fact by the CI allocs-per-op bench gate.
