@@ -208,6 +208,49 @@ func TestParseRunFlagsLabels(t *testing.T) {
 	}
 }
 
+// `run -json` builds its simulator options by hand, beside the sweep's
+// cellOptions; its output must be the matching cell of a one-cell local
+// sweep at the same seed, byte for byte.
+func TestRunJSONMatchesSweepCell(t *testing.T) {
+	dir := t.TempDir()
+	runOut := filepath.Join(dir, "run.json")
+	sweepOut := filepath.Join(dir, "sweep.json")
+	f, err := os.Create(runOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = cmdRun([]string{
+		"-workload", "4_MIX", "-engine", "gskew+FTB", "-policy", "RR.2.8", "-seed", "3",
+		"-warmup", "2000", "-measure", "5000", "-json",
+	})
+	os.Stdout = stdout
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := cmdSweep([]string{
+		"-workloads", "4_MIX", "-engines", "gskew+FTB", "-policies", "RR.2.8", "-seeds", "3,",
+		"-warmup", "2000", "-measure", "5000", "-q", "-table=false", "-o", sweepOut,
+	}); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	ran, err := os.ReadFile(runOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept, err := os.ReadFile(sweepOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ran) != string(swept) {
+		t.Fatalf("run -json differs from the sweep cell:\n%s\nvs\n%s", ran, swept)
+	}
+}
+
 // End-to-end -server dispatch: the CLI posts the grid to a sweep server
 // and the file it writes is byte-identical to a local run's.
 func TestSweepServerDispatchMatchesLocal(t *testing.T) {

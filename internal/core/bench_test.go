@@ -3,10 +3,7 @@ package core
 import (
 	"testing"
 
-	"smtfetch/internal/bench"
 	"smtfetch/internal/config"
-	"smtfetch/internal/prog"
-	"smtfetch/internal/rng"
 )
 
 // newBenchSim builds a warmed-up 4-thread MIX simulator: the workload the
@@ -17,26 +14,7 @@ func newBenchSim(tb testing.TB, engine config.Engine) *Sim {
 }
 
 func newBenchSimPolicy(tb testing.TB, engine config.Engine, fp config.FetchPolicy) *Sim {
-	cfg := config.Default()
-	cfg.Engine = engine
-	cfg.FetchPolicy = fp
-	w, err := bench.WorkloadByName("4_MIX")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	st := uint64(0xB5EED)
-	programs := make([]*prog.Program, len(w.Benchmarks))
-	for i, name := range w.Benchmarks {
-		p, err := bench.Profile(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		programs[i] = prog.Build(p, rng.SplitMix64(&st))
-	}
-	s, err := New(cfg, programs, rng.SplitMix64(&st))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	s := newWorkloadSim(tb, "4_MIX", engine, fp, 0xB5EED)
 	// Warm caches, predictors, and internal buffers so the measured loop
 	// reflects steady state, not cold-start allocation.
 	s.Run(50_000, 1_000_000)

@@ -3,34 +3,15 @@ package core
 import (
 	"testing"
 
-	"smtfetch/internal/bench"
 	"smtfetch/internal/config"
 	"smtfetch/internal/ftq"
-	"smtfetch/internal/prog"
-	"smtfetch/internal/rng"
 )
 
 // newPolicySim builds a simulator for the given fetch policy on a
 // memory-heavy workload (4_MIX mixes ILP and memory-bound threads, so the
 // long-latency-load policies actually trigger).
 func newPolicySim(t testing.TB, pol config.Policy, seed uint64) *Sim {
-	t.Helper()
-	cfg := config.Default()
-	cfg.FetchPolicy = config.FetchPolicy{Policy: pol, Threads: 2, Width: 8}
-	w, err := bench.WorkloadByName("4_MIX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := seed
-	programs := make([]*prog.Program, len(w.Benchmarks))
-	for i, name := range w.Benchmarks {
-		programs[i] = prog.Build(bench.MustProfile(name), rng.SplitMix64(&st))
-	}
-	s, err := New(cfg, programs, rng.SplitMix64(&st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newWorkloadSim(t, "4_MIX", config.Default().Engine, config.FetchPolicy{Policy: pol, Threads: 2, Width: 8}, seed)
 }
 
 // TestPolicyFamilyProgressAndDeterminism runs every policy and requires

@@ -15,10 +15,18 @@ import (
 // mispredictions and cache misses (2_MIX pairs an ILP benchmark with a
 // memory-bound one).
 func newTestSim(t testing.TB, engine config.Engine, seed uint64) *Sim {
+	return newWorkloadSim(t, "2_MIX", engine, config.Default().FetchPolicy, seed)
+}
+
+// newWorkloadSim builds a simulator for a Table 2 workload the way
+// smtfetch.New does: one SplitMix64 chain from seed gives each thread's
+// program seed, then the simulator seed.
+func newWorkloadSim(t testing.TB, workload string, engine config.Engine, fp config.FetchPolicy, seed uint64) *Sim {
 	t.Helper()
 	cfg := config.Default()
 	cfg.Engine = engine
-	w, err := bench.WorkloadByName("2_MIX")
+	cfg.FetchPolicy = fp
+	w, err := bench.WorkloadByName(workload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,24 +16,7 @@ import (
 // simulators from the same seed yields identical programs, which is what
 // the round-trip tests rely on.
 func newSnapSim(t testing.TB, engine config.Engine, fp config.FetchPolicy, seed uint64) *Sim {
-	t.Helper()
-	cfg := config.Default()
-	cfg.Engine = engine
-	cfg.FetchPolicy = fp
-	w, err := bench.WorkloadByName("2_MIX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := seed
-	programs := make([]*prog.Program, len(w.Benchmarks))
-	for i, name := range w.Benchmarks {
-		programs[i] = prog.Build(bench.MustProfile(name), rng.SplitMix64(&st))
-	}
-	s, err := New(cfg, programs, rng.SplitMix64(&st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newWorkloadSim(t, "2_MIX", engine, fp, seed)
 }
 
 // checkPools verifies the request-pool invariants on s, pinning every

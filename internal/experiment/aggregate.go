@@ -30,17 +30,17 @@ func (s Summary) CIHalfWidth() float64 {
 }
 
 // tTable95 holds the two-sided 95% Student-t critical values indexed by
-// degrees of freedom (index 0 unused).
+// degrees of freedom (index 0 unused), rounded up to three decimals.
 var tTable95 = [...]float64{
-	0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+	0, 12.707, 4.303, 3.183, 2.777, 2.571, 2.447, 2.365, 2.307, 2.263, 2.229,
+	2.201, 2.179, 2.161, 2.145, 2.132, 2.120, 2.110, 2.101, 2.094, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.049, 2.046, 2.043,
 }
 
 // tCrit95 returns the two-sided 95% Student-t critical value for df
 // degrees of freedom. Past the table it returns the value of the next
-// lower tabulated row (30, 40, 60, 120), which is at least the exact
-// value: between rows the interval errs wide, never narrow.
+// lower row (30, 40, 60, 120), which is at least the exact value: between
+// rows the interval errs wide, never narrow.
 func tCrit95(df int) float64 {
 	switch {
 	case df <= 0:
@@ -48,7 +48,7 @@ func tCrit95(df int) float64 {
 	case df < len(tTable95):
 		return tTable95[df]
 	case df <= 40:
-		return 2.042
+		return tTable95[30]
 	case df <= 60:
 		return 2.021
 	case df <= 120:

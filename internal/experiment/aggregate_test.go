@@ -35,14 +35,15 @@ func TestSummarizeHandComputed(t *testing.T) {
 		approx(t, "CIHigh", s.CIHigh, 2.5)
 	})
 	t.Run("n=2", func(t *testing.T) {
-		// {1, 3}: mean 2, sample stddev sqrt(2); t(df=1) = 12.706 gives a
-		// half-width of 12.706*sqrt(2)/sqrt(2) = 12.706 — two runs pin
-		// almost nothing down, which is exactly what the wide interval says.
+		// {1, 3}: mean 2, sample stddev sqrt(2); t(df=1) = 12.707 (the
+		// exact 12.706205 rounded up) gives a half-width of
+		// 12.707*sqrt(2)/sqrt(2) = 12.707 — two runs pin almost nothing
+		// down, which is exactly what the wide interval says.
 		s := summarize([]float64{1, 3})
 		approx(t, "Mean", s.Mean, 2)
 		approx(t, "Stddev", s.Stddev, math.Sqrt2)
-		approx(t, "CILow", s.CILow, 2-12.706)
-		approx(t, "CIHigh", s.CIHigh, 2+12.706)
+		approx(t, "CILow", s.CILow, 2-12.707)
+		approx(t, "CIHigh", s.CIHigh, 2+12.707)
 	})
 	t.Run("n=3", func(t *testing.T) {
 		// {1, 2, 3}: mean 2, sample stddev 1, t(df=2) = 4.303,
@@ -83,15 +84,28 @@ func TestTCrit95Monotone(t *testing.T) {
 }
 
 func TestTCrit95ConservativeBetweenRows(t *testing.T) {
-	// Past the table, each df takes the next lower tabulated row, so the
-	// interval is never narrower than the exact one. Quantiles t(0.975, df)
-	// from the Student-t distribution, rounded to four decimals.
-	for _, c := range []struct {
-		df    int
-		exact float64
-	}{{31, 2.0395}, {41, 2.0195}, {61, 1.9996}, {121, 1.9798}} {
-		if got := tCrit95(c.df); got < c.exact {
-			t.Errorf("tCrit95(%d) = %v, below the exact %v", c.df, got, c.exact)
+	// Every tabulated row, and past the table every df (which takes the
+	// next lower row), must be at least the exact quantile, so no
+	// interval is narrower than the exact one. Exact t(0.975, df) from the
+	// Student-t distribution, to six decimals.
+	exact := map[int]float64{
+		1: 12.706205, 2: 4.302653, 3: 3.182446, 4: 2.776445, 5: 2.570582,
+		6: 2.446912, 7: 2.364624, 8: 2.306004, 9: 2.262157, 10: 2.228139,
+		11: 2.200985, 12: 2.178813, 13: 2.160369, 14: 2.144787, 15: 2.131450,
+		16: 2.119905, 17: 2.109816, 18: 2.100922, 19: 2.093024, 20: 2.085963,
+		21: 2.079614, 22: 2.073873, 23: 2.068658, 24: 2.063899, 25: 2.059539,
+		26: 2.055529, 27: 2.051831, 28: 2.048407, 29: 2.045230, 30: 2.042272,
+		31: 2.039513, 40: 2.021075, 41: 2.019541, 60: 2.000298, 61: 1.999624,
+		120: 1.979930, 121: 1.979764,
+	}
+	for df, q := range exact {
+		got := tCrit95(df)
+		if got < q {
+			t.Errorf("tCrit95(%d) = %v, below the exact %v", df, got, q)
+		}
+		// Table rows are rounded up to three decimals: less than 0.001 wide.
+		if df <= 30 && got-q >= 0.001 {
+			t.Errorf("tCrit95(%d) = %v, more than 0.001 above the exact %v", df, got, q)
 		}
 	}
 }

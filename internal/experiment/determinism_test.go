@@ -47,8 +47,8 @@ func TestSweepDeterminismAcrossJobs(t *testing.T) {
 }
 
 // TestSweepFilteredSubsetMatchesFullGrid checks that filtering does not
-// change per-cell results: a cell's derived seed depends on its identity,
-// not on which other cells ran beside it.
+// change per-cell results: a cell's derived seed depends on its workload
+// and seed, not on which other cells ran beside it.
 func TestSweepFilteredSubsetMatchesFullGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulator sweep; skipped with -short")

@@ -4,7 +4,7 @@
 // per-cell results into deterministically ordered, machine-readable output.
 //
 // Determinism is a hard requirement: each cell's effective seed is derived
-// from the cell's identity (not from execution order), and the aggregated
+// from its workload and seed alone (see CellSeed), and the aggregated
 // results are sorted by cell key, so a sweep produces bit-identical JSON
 // whether it runs on one worker or sixteen, full or filtered.
 package experiment
@@ -28,24 +28,24 @@ type Cell struct {
 	Policy   config.FetchPolicy
 	// Seed is the replication-axis value (the paper's runs are
 	// single-seed; multiple seeds give confidence intervals). The seed the
-	// simulator actually consumes is derived from it plus the cell
-	// identity; see CellSeed.
+	// simulator actually consumes is derived from it and the workload;
+	// see CellSeed.
 	Seed uint64
 }
 
-// Key is the cell's stable identity string, used for sorting, seed
-// derivation, and matching cells across results files.
+// Key is the cell's stable identity string, used for sorting and for
+// matching cells across results files.
 func (c Cell) Key() string {
 	return fmt.Sprintf("%s/%s/%s/%d", c.Workload, c.Engine, c.Policy, c.Seed)
 }
 
-// CellSeed derives the simulator seed for a cell. It hashes the cell's
-// identity and mixes it through SplitMix64, so the effective seed depends
-// only on what the cell is — never on worker count, execution order, or
-// which other cells the sweep happens to contain.
+// CellSeed derives the simulator seed for a cell by hashing its workload
+// and replication seed through SplitMix64. Engine and policy stay out:
+// they are treatments applied to the one set of programs a (workload,
+// seed) builds. Execution order and worker count never enter it.
 func CellSeed(c Cell) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(c.Key()))
+	fmt.Fprintf(h, "%s/%d", c.Workload, c.Seed)
 	st := h.Sum64()
 	s := rng.SplitMix64(&st)
 	if s == 0 {

@@ -59,23 +59,22 @@ func (d KeyDoc) Hash() string { return hashKey(d) }
 // WarmKey identifies a warm checkpoint: the hash of the key document's
 // warm-up projection plus the snapshot format version and the canonical
 // cell's key. The projection drops what only the measured phase reads
-// (MeasureInstrs, Sample), the warm-fork mode (fork and rerun warm
-// identically) and the result schema, so every cell whose warm-up is the
-// same shares one checkpoint; both warm-up lengths stay, so a sweep with a
-// different warm-up can never be served a stale checkpoint. The canonical
-// cell key carries the engine and the policy's T.W shape, which warmed
+// (MeasureInstrs, Sample) and the warm-fork mode (fork and rerun warm
+// identically), so every cell whose warm-up is the same shares one
+// checkpoint; both warm-up lengths and the result schema stay, so neither
+// a different warm-up nor an older simulator can supply a checkpoint. The
+// canonical cell key carries the engine and the policy's T.W shape, which warmed
 // predictor and cache state depend on. The snapshot version is folded in
 // so format bumps invalidate cached blobs instead of failing restores.
 func (s *Sweep) WarmKey(c Cell) string {
-	return s.warmKeyAt(core.SnapshotVersion, c)
+	return warmKeyAt(core.SnapshotVersion, s.KeyDoc(), c)
 }
 
-// warmKeyAt is WarmKey with an explicit snapshot format version, split out
-// so tests can pin that the version is a live key component (a format bump
-// must change every warm key).
-func (s *Sweep) warmKeyAt(snapshotVersion int, c Cell) string {
-	doc := s.KeyDoc()
-	doc.ResultSchema, doc.MeasureInstrs, doc.Sample, doc.WarmFork = 0, 0, "", ""
+// warmKeyAt is WarmKey over an explicit snapshot version and key document,
+// split out so tests can pin that the snapshot version and the result
+// schema are live key components (a bump must change every warm key).
+func warmKeyAt(snapshotVersion int, doc KeyDoc, c Cell) string {
+	doc.MeasureInstrs, doc.Sample, doc.WarmFork = 0, "", ""
 	return hashKey(struct {
 		SnapshotVersion int
 		Cell            string

@@ -118,10 +118,10 @@ type resultsFile struct {
 }
 
 // SchemaVersion is the current sweep-JSON schema version. Version 2 marks
-// results from the bounded decode/rename pipe: a version-1 IPC came from a
-// front end that could over-fetch without limit, so it is neither
-// comparable nor servable from a cache.
-const SchemaVersion = 2
+// results from the bounded decode/rename pipe, version 3 results seeded
+// from (workload, seed) alone; older IPCs came from a leaking front end or
+// per-cell programs, so they are neither comparable nor servable.
+const SchemaVersion = 3
 
 // WriteJSON writes results (sorted, indented, versioned) to w.
 func WriteJSON(w io.Writer, rs []Result) error {

@@ -39,25 +39,25 @@ func (s *Sweep) runCell(c Cell) (*smtfetch.Result, error) {
 
 // cellOptions builds a cell's simulator options. In the warm-fork modes
 // every cell of a warm group simulates the same warm-up, so the canonical
-// cell's policy and seed stand in for the cell's own.
+// cell's policy stands in for the cell's own until Measure.
 func (s *Sweep) cellOptions(c Cell) (smtfetch.Options, error) {
 	sample, err := smtfetch.ParseSample(s.Sample)
 	if err != nil {
 		return smtfetch.Options{}, err
 	}
-	warmCell := c
+	policy := c.Policy
 	switch s.WarmFork {
 	case WarmForkOff:
 	case WarmForkFork, WarmForkRerun:
-		warmCell = canonicalCell(c)
+		policy = canonicalCell(c).Policy
 	default:
 		return smtfetch.Options{}, fmt.Errorf("experiment: unknown warm-fork mode %q", s.WarmFork)
 	}
 	return smtfetch.Options{
 		Workload:      c.Workload,
 		Engine:        c.Engine,
-		Policy:        warmCell.Policy,
-		Seed:          CellSeed(warmCell),
+		Policy:        policy,
+		Seed:          CellSeed(c),
 		WarmupInstrs:  s.WarmupInstrs,
 		WarmupCycles:  s.WarmupCycles,
 		MeasureInstrs: s.MeasureInstrs,

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -64,6 +65,10 @@ func TestValidateRejectsBadWorkload(t *testing.T) {
 	}
 }
 
+// TestCellSeedDependsOnlyOnIdentity: a cell's program identity is its
+// (workload, seed). Engine and policy are treatments applied to those
+// programs, so they must not move the seed; the workload and the
+// replication seed must.
 func TestCellSeedDependsOnlyOnIdentity(t *testing.T) {
 	c := Cell{Workload: "2_MIX", Engine: config.StreamFetch, Policy: config.ICount116, Seed: 1}
 	if CellSeed(c) != CellSeed(c) {
@@ -72,24 +77,35 @@ func TestCellSeedDependsOnlyOnIdentity(t *testing.T) {
 	if CellSeed(c) == 0 {
 		t.Fatal("CellSeed produced the reserved 0 value")
 	}
-	// Any identity change must change the derived seed.
-	variants := []Cell{
-		{Workload: "4_MIX", Engine: c.Engine, Policy: c.Policy, Seed: c.Seed},
+	same := []Cell{
 		{Workload: c.Workload, Engine: config.GShareBTB, Policy: c.Policy, Seed: c.Seed},
 		{Workload: c.Workload, Engine: c.Engine, Policy: config.ICount18, Seed: c.Seed},
+		{Workload: c.Workload, Engine: config.GSkewFTB, Policy: config.FetchPolicy{Policy: config.Flush, Threads: 2, Width: 8}, Seed: c.Seed},
+	}
+	for _, v := range same {
+		if CellSeed(v) != CellSeed(c) {
+			t.Errorf("CellSeed differs between %s and %s: engine and policy must not change the programs", c.Key(), v.Key())
+		}
+	}
+	differ := []Cell{
+		{Workload: "4_MIX", Engine: c.Engine, Policy: c.Policy, Seed: c.Seed},
 		{Workload: c.Workload, Engine: c.Engine, Policy: c.Policy, Seed: 2},
 	}
-	for _, v := range variants {
+	for _, v := range differ {
 		if CellSeed(v) == CellSeed(c) {
-			t.Fatalf("CellSeed collision between %s and %s", c.Key(), v.Key())
+			t.Errorf("CellSeed collision between %s and %s", c.Key(), v.Key())
 		}
 	}
 }
 
 // fakeRunner replaces the simulator with a deterministic function of the
-// cell so pool mechanics can be tested in microseconds.
+// cell so pool mechanics can be tested in microseconds. It hashes the
+// whole cell key (CellSeed ignores engine and policy), so every cell of a
+// grid gets its own fake figures.
 func fakeRunner(s *Sweep, c Cell) Result {
-	seed := CellSeed(c)
+	h := fnv.New64a()
+	h.Write([]byte(c.Key()))
+	seed := h.Sum64()
 	return Result{
 		Workload: c.Workload,
 		Engine:   c.Engine.String(),

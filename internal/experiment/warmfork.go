@@ -12,14 +12,13 @@ package experiment
 // warmed state is checkpointed with core.Sim.Snapshot, and each cell is
 // forked from the checkpoint via Restore + SetPolicy + Measure.
 //
-// Because all cells of a group must consume the same warm-up, the
-// simulator seed in these modes is the CANONICAL cell's seed, not the
-// per-cell one — which is why warm-fork is opt-in rather than the
-// default: its results are not comparable against default-mode baselines
-// cell-for-cell. WarmForkRerun exists as the audit path: it derives seeds
-// identically and re-simulates the identical canonical warm-up for every
-// cell without checkpointing, so `fork` and `rerun` sweeps must produce
-// byte-identical output files (CI compares them with cmp).
+// Every mode seeds a cell from its workload and seed (see CellSeed), so a
+// forked cell differs from its default-mode run only in its warm-up
+// policy, and the canonical cell's result is the same in both modes.
+// WarmForkRerun exists as the audit path: it re-simulates the identical
+// canonical warm-up for every cell without checkpointing, so `fork` and
+// `rerun` sweeps must produce byte-identical output files (CI compares
+// them with cmp).
 
 import (
 	"sync"

@@ -61,6 +61,76 @@ func TestWarmForkMatchesRerunByteForByte(t *testing.T) {
 	}
 }
 
+// TestCellOptionsOneSeedPerWorkloadAndSeed is the harness half of the
+// common-random-numbers contract (core's
+// TestCommittedStreamIndependentOfFetchConfig is the simulator half):
+// every engine, every .1.8 and .2.8 policy and every warm-fork mode of a
+// (workload, seed) hands the simulator the same workload and seed, so
+// every cell builds the same programs; a different seed builds others.
+func TestCellOptionsOneSeedPerWorkloadAndSeed(t *testing.T) {
+	var policies []config.FetchPolicy
+	for _, threads := range []int{1, 2} {
+		for _, p := range config.Policies() {
+			policies = append(policies, config.FetchPolicy{Policy: p, Threads: threads, Width: 8})
+		}
+	}
+	for _, workload := range []string{"2_MIX", "4_MIX", "8_MIX"} {
+		seen := map[uint64]uint64{} // simulator seed -> replication seed
+		for _, seed := range []uint64{1, 2} {
+			want := CellSeed(Cell{Workload: workload, Seed: seed})
+			if prev, ok := seen[want]; ok {
+				t.Fatalf("%s: seeds %d and %d derive the same simulator seed", workload, prev, seed)
+			}
+			seen[want] = seed
+			for _, mode := range []string{WarmForkOff, WarmForkFork, WarmForkRerun} {
+				s := &Sweep{WarmFork: mode}
+				for _, e := range config.Engines() {
+					for _, p := range policies {
+						c := Cell{Workload: workload, Engine: e, Policy: p, Seed: seed}
+						opts, err := s.cellOptions(c)
+						if err != nil {
+							t.Fatalf("%s mode %q: %v", c.Key(), mode, err)
+						}
+						if opts.Seed != want || opts.Workload != workload || opts.Benchmarks != nil {
+							t.Fatalf("%s mode %q: seed %d, workload %q, benchmarks %v; want seed %d and %s's own benchmarks",
+								c.Key(), mode, opts.Seed, opts.Workload, opts.Benchmarks, want, workload)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWarmForkCanonicalCellsMatchDefault: a canonical ICOUNT cell warms
+// under its own policy from the same seed in every mode, so its forked
+// result is the default-mode result byte for byte.
+func TestWarmForkCanonicalCellsMatchDefault(t *testing.T) {
+	fork, err := warmForkGrid(WarmForkFork).Run()
+	if err != nil {
+		t.Fatalf("fork sweep: %v", err)
+	}
+	cold, err := warmForkGrid(WarmForkOff).Run()
+	if err != nil {
+		t.Fatalf("default sweep: %v", err)
+	}
+	canonical := 0
+	for i := range fork {
+		if fork[i].Policy != config.ICount28.String() && fork[i].Policy != config.ICount18.String() {
+			continue
+		}
+		canonical++
+		fb, _ := MarshalJSONResults(fork[i : i+1])
+		cb, _ := MarshalJSONResults(cold[i : i+1])
+		if !bytes.Equal(fb, cb) {
+			t.Errorf("canonical cell %s differs between fork and default mode:\nfork:\n%s\ndefault:\n%s", fork[i].Key(), fb, cb)
+		}
+	}
+	if canonical != 2 {
+		t.Fatalf("%d canonical cells in the grid, want 2", canonical)
+	}
+}
+
 func TestWarmForkWithSamplingMatchesRerun(t *testing.T) {
 	mk := func(mode string) *Sweep {
 		sw := warmForkGrid(mode)
@@ -258,16 +328,24 @@ func TestSweepRejectsBadSampleAndWarmFork(t *testing.T) {
 // produces, so the snapshot format version must be a live component of
 // that string: after a format bump, a server restarted over an old cache
 // file must miss rather than serve a stale blob to a decoder that cannot
-// read it.
+// read it. The result schema must be one too: a bump that retires cached
+// results (say, because the programs a cell simulates changed) must not
+// let a checkpoint an older simulator warmed restore under the new one.
 func TestWarmKeySnapshotVersionComponent(t *testing.T) {
 	s := &Sweep{WarmupInstrs: 10_000, WarmupCycles: 500}
 	cell := Cell{Workload: "2_MIX", Engine: config.GShareBTB, Policy: config.ICount28, Seed: 1}
+	doc := s.KeyDoc()
 
-	if s.WarmKey(cell) != s.warmKeyAt(core.SnapshotVersion, cell) {
+	if s.WarmKey(cell) != warmKeyAt(core.SnapshotVersion, doc, cell) {
 		t.Fatal("WarmKey does not use the current core.SnapshotVersion")
 	}
-	if s.warmKeyAt(core.SnapshotVersion, cell) == s.warmKeyAt(core.SnapshotVersion+1, cell) {
+	if warmKeyAt(core.SnapshotVersion, doc, cell) == warmKeyAt(core.SnapshotVersion+1, doc, cell) {
 		t.Fatal("a snapshot format bump does not change the warm key")
+	}
+	older := doc
+	older.ResultSchema--
+	if warmKeyAt(core.SnapshotVersion, doc, cell) == warmKeyAt(core.SnapshotVersion, older, cell) {
+		t.Fatal("a result schema bump does not change the warm key")
 	}
 }
 

@@ -36,7 +36,7 @@ var schemaRegs = []schemaReg{
 	{
 		Pkg:     "smtfetch/internal/experiment",
 		Const:   "SchemaVersion",
-		Version: 2,
+		Version: 3,
 		Mode:    "json",
 		Roots:   []string{"resultsFile"},
 		Digest:  "c228ffc2ddefeb37",

@@ -75,9 +75,10 @@ func TestFingerprintAndWarmKeyCanonicalizeAlike(t *testing.T) {
 }
 
 // Fingerprint values are persisted: a server's cache file is keyed by
-// them, so a change orphans every stored cell. These were measured before
-// the key document replaced Fingerprint's own field list, and pin that
-// the document hashes byte-identically.
+// them, so a change orphans every stored cell. The document's field list
+// hashes byte-identically to Fingerprint's older one; these values were
+// re-measured at result schema 3, whose bump is meant to orphan every
+// cell simulated under the earlier per-cell seeding.
 func TestFingerprintGolden(t *testing.T) {
 	mc := config.Default()
 	mc.ROBSize *= 2
@@ -87,12 +88,12 @@ func TestFingerprintGolden(t *testing.T) {
 		sw   *experiment.Sweep
 		want string
 	}{
-		{"zero sweep", &experiment.Sweep{}, "a20138eec47df78e"},
+		{"zero sweep", &experiment.Sweep{}, "a78c7b5b16bb1fe9"},
 		{"phase lengths, sample, fork", &experiment.Sweep{
 			WarmupInstrs: 10000, WarmupCycles: 500, MeasureInstrs: 20000, MaxCycles: 7,
 			Sample: "detail:1000,skip:49000", WarmFork: experiment.WarmForkFork,
-		}, "ff653b05bc41d73f"},
-		{"machine override, rerun", &experiment.Sweep{Machine: &mc, WarmFork: experiment.WarmForkRerun}, "8bb403a1fa045d57"},
+		}, "c32d82c648e84d9c"},
+		{"machine override, rerun", &experiment.Sweep{Machine: &mc, WarmFork: experiment.WarmForkRerun}, "c68c575d6da4e622"},
 	} {
 		if got := Fingerprint(tc.sw); got != tc.want {
 			t.Errorf("%s: Fingerprint = %s, want %s", tc.name, got, tc.want)
