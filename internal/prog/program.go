@@ -113,7 +113,9 @@ func (b *Block) TermPC() isa.Addr {
 }
 
 // Program is a complete synthetic program: the static CFG plus everything a
-// Stream needs to walk it.
+// Stream needs to walk it. It is read-only after Build returns, because
+// concurrently running simulators share one Program; all walk state lives
+// in the Stream.
 type Program struct {
 	profile Profile
 	blocks  []*Block

@@ -303,9 +303,15 @@ type Result struct {
 type Simulator struct {
 	sim  *core.Sim
 	opts Options
+	// programs are the per-thread programs sim runs, shared read-only
+	// with every other live simulator of the same (benchmark, seed).
+	programs []*prog.Program
 }
 
-// New builds a Simulator from options.
+// New builds a Simulator from options. Its programs come from a
+// process-wide table: a live simulator of the same (benchmark, seed)
+// lends its already built, read-only program, so simulators of one
+// (workload, seed) that overlap in time run prog.Build once.
 func New(opts Options) (*Simulator, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -324,13 +330,13 @@ func New(opts Options) (*Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
-		programs[i] = prog.Build(p, rng.SplitMix64(&st))
+		programs[i] = sharedPrograms.program(p, rng.SplitMix64(&st))
 	}
 	sim, err := core.New(mc, programs, rng.SplitMix64(&st))
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{sim: sim, opts: opts}, nil
+	return &Simulator{sim: sim, opts: opts, programs: programs}, nil
 }
 
 // Core exposes the underlying cycle-level simulator.
