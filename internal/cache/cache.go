@@ -81,51 +81,52 @@ func (c *Cache) set(a isa.Addr) int {
 //smtfetch:hotpath
 func (c *Cache) Lookup(a isa.Addr) bool {
 	c.Accesses++
-	set := c.set(a)
-	tag := uint64(a) >> c.lineBits
-	base := set * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.stamp++
-			c.lru[base+w] = c.stamp
-			return true
-		}
+	if c.touch(a) {
+		return true
 	}
 	c.Misses++
 	return false
 }
 
-// Probe is Lookup without counter or LRU side effects (for tests and for
-// checking residency without modelling an access).
-func (c *Cache) Probe(a isa.Addr) bool {
+// find returns the index of the way holding the line containing a, or -1.
+//
+//smtfetch:hotpath
+func (c *Cache) find(a isa.Addr) int {
 	set := c.set(a)
 	tag := uint64(a) >> c.lineBits
 	base := set * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
+	for w := base; w < base+c.cfg.Assoc; w++ {
+		if c.valid[w] && c.tags[w] == tag {
+			return w
 		}
 	}
-	return false
+	return -1
 }
+
+// touch refreshes the LRU stamp of the line containing a if it is present,
+// and reports whether it was: Lookup without counters.
+//
+//smtfetch:hotpath
+func (c *Cache) touch(a isa.Addr) bool {
+	w := c.find(a)
+	if w < 0 {
+		return false
+	}
+	c.stamp++
+	c.lru[w] = c.stamp
+	return true
+}
+
+// Probe is Lookup without counter or LRU side effects (for tests and for
+// checking residency without modelling an access).
+func (c *Cache) Probe(a isa.Addr) bool { return c.find(a) >= 0 }
 
 // Touch refreshes the LRU stamp of the line containing a if it is present,
 // without access counters (used for merged accesses to in-flight lines,
 // which are accounted as misses but keep the line hot).
 //
 //smtfetch:hotpath
-func (c *Cache) Touch(a isa.Addr) {
-	set := c.set(a)
-	tag := uint64(a) >> c.lineBits
-	base := set * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.stamp++
-			c.lru[base+w] = c.stamp
-			return
-		}
-	}
-}
+func (c *Cache) Touch(a isa.Addr) { c.touch(a) }
 
 // Fill installs the line containing a, evicting the LRU way if needed.
 // It reports the evicted line address and whether an eviction occurred.
@@ -231,6 +232,18 @@ func NewTLB(entries int) *TLB {
 //smtfetch:hotpath
 func (t *TLB) Lookup(a isa.Addr) bool {
 	t.Accesses++
+	if t.access(a) {
+		return true
+	}
+	t.Misses++
+	return false
+}
+
+// access is Lookup without counters: it refreshes the page of a on a hit,
+// fills it on a miss, and reports whether it hit.
+//
+//smtfetch:hotpath
+func (t *TLB) access(a isa.Addr) bool {
 	page := uint64(a) >> t.pageBits
 	if i := t.mru; t.valid[i] && t.pages[i] == page {
 		t.stamp++
@@ -254,7 +267,6 @@ func (t *TLB) Lookup(a isa.Addr) bool {
 			victim = i
 		}
 	}
-	t.Misses++
 	if t.valid[victim] {
 		delete(t.idx, t.pages[victim])
 	}

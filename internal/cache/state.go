@@ -157,62 +157,14 @@ func (h *Hierarchy) DecodeState(r *snap.Reader) {
 // MSHR, or statistics side effects: TLB fill, L1 lookup-or-fill through L2.
 // Used by functional fast-forward, where the clock is frozen.
 func warmTouch(l1, l2 *Cache, tlb *TLB, a isa.Addr) {
-	warmTLB(tlb, a)
-	if warmLookup(l1, a) {
+	tlb.access(a)
+	if l1.touch(a) {
 		return
 	}
-	if !warmLookup(l2, a) {
+	if !l2.touch(a) {
 		l2.Fill(a)
 	}
 	l1.Fill(a)
-}
-
-// warmLookup is Cache.Lookup without access/miss counters.
-func warmLookup(c *Cache, a isa.Addr) bool {
-	set := c.set(a)
-	tag := uint64(a) >> c.lineBits
-	base := set * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.stamp++
-			c.lru[base+w] = c.stamp
-			return true
-		}
-	}
-	return false
-}
-
-// warmTLB is TLB.Lookup without access/miss counters.
-func warmTLB(t *TLB, a isa.Addr) {
-	page := uint64(a) >> t.pageBits
-	if i := t.mru; t.valid[i] && t.pages[i] == page {
-		t.stamp++
-		t.lru[i] = t.stamp
-		return
-	}
-	if i, ok := t.idx[page]; ok {
-		t.stamp++
-		t.lru[i] = t.stamp
-		t.mru = i
-		return
-	}
-	victim := 0
-	for i := 0; i < t.entries; i++ {
-		if !t.valid[i] {
-			victim = i
-		} else if t.valid[victim] && t.lru[i] < t.lru[victim] {
-			victim = i
-		}
-	}
-	if t.valid[victim] {
-		delete(t.idx, t.pages[victim])
-	}
-	t.pages[victim] = page
-	t.valid[victim] = true
-	t.idx[page] = victim
-	t.mru = victim
-	t.stamp++
-	t.lru[victim] = t.stamp
 }
 
 // WarmInstr models the residency effect of an instruction fetch without

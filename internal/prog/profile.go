@@ -106,6 +106,9 @@ func (p Profile) Validate() Profile {
 	if p.StaticBlocks < 16 {
 		p.StaticBlocks = 16
 	}
+	if p.StaticBlocks > MaxStaticBlocks {
+		p.StaticBlocks = MaxStaticBlocks
+	}
 	if p.LocalityWindow < 1 {
 		p.LocalityWindow = 1
 	}

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"smtfetch/internal/isa"
@@ -43,58 +44,61 @@ const (
 	memRandom
 )
 
+// strideBytes is how far a strided generator advances per access.
+const strideBytes = 8
+
 // memGen is the static description of one memory instruction's address
 // stream. Per-stream dynamic state (stride cursors, chase pointers) lives in
 // the Stream.
 type memGen struct {
-	kind   memKind
-	base   uint64
-	size   uint64 // bytes; power-of-two not required
-	stride uint64
-	cold   bool
-	chase  bool // load address depends on the previous load (pointer chasing)
+	base  uint64
+	size  uint64 // bytes; power-of-two not required
+	kind  memKind
+	chase bool // load address depends on the previous load (pointer chasing)
 }
 
-// staticInstr describes one static non-terminator instruction.
+// staticInstr describes one static non-terminator instruction. Its index in
+// Program.instrs is its static-instruction id, which keys per-stream state.
 type staticInstr struct {
 	class   isa.Class
-	dep1    uint16
-	dep2    uint16
+	dep1    uint8
+	dep2    uint8
 	hasDest bool
-	mem     *memGen
-	id      int // global static-instruction id (indexes per-stream state)
+	mem     int32 // index into Program.mems; loads and stores only
 }
 
-// terminator describes the control transfer ending a block.
+// terminator describes the control transfer ending a block. Its block's
+// index is its static-branch id, which keys per-stream state.
 type terminator struct {
-	kind isa.BranchKind
+	// pTaken, tripCount and histMask are the behaviours of biased, loop
+	// and correlated conditional branches; a correlated branch flips its
+	// outcome with the profile's Noise probability.
+	pTaken    float64
+	tripCount int32
+	// target is the static target block index (conditional taken-target,
+	// jump/call target). An indirect jump has nInd targets instead, and
+	// target indexes the first of them in Program.indTargets and
+	// Program.indWeights. Unused for returns.
+	target   int32
+	histMask uint16
+	nInd     uint8
+	kind     isa.BranchKind
 	// dep1 is the branch's own input-dependence distance (a compare
 	// result it consumes); it determines how late the branch resolves.
-	dep1 uint16
-	// class/behaviour for conditional branches.
-	class     branchClass
-	pTaken    float64
-	tripCount int
-	histMask  uint64
-	noise     float64
-	// target is the static target block index (conditional taken-target,
-	// jump/call target). Unused for returns.
-	target int
-	// indirectTargets/indirectWeights describe indirect-jump target sets.
-	indirectTargets []int
-	indirectWeights []float64
-	id              int // global static-branch id
+	dep1  uint8
+	class branchClass
 }
 
-// Block is one static basic block.
+// Block is one static basic block: its body instructions are
+// Program.instrs[body : body+nbody], and the terminator is the block's
+// last instruction. A block's fall-through successor is the next block in
+// layout order (the last block's is the first).
 type Block struct {
-	index int
 	addr  isa.Addr
-	// body holds the non-terminator instructions; the terminator is the
-	// last instruction of the block.
-	body []staticInstr
-	term terminator
-	next int // fall-through successor (layout order)
+	term  terminator
+	body  int32
+	index int32 // position in Program.blocks, the terminator's static id
+	nbody uint8
 }
 
 // Addr returns the block's start address.
@@ -103,33 +107,60 @@ func (b *Block) Addr() isa.Addr { return b.addr }
 // Len returns the block size in instructions, including the terminator.
 //
 //smtfetch:hotpath
-func (b *Block) Len() int { return len(b.body) + 1 }
+func (b *Block) Len() int { return int(b.nbody) + 1 }
 
 // TermPC returns the address of the block's terminating branch.
 //
 //smtfetch:hotpath
 func (b *Block) TermPC() isa.Addr {
-	return b.addr + isa.Addr(len(b.body)*isa.InstrSize)
+	return b.addr + isa.Addr(int(b.nbody)*isa.InstrSize)
 }
+
+// maxBody caps a block's body, so a block spans at most 64 instructions.
+const maxBody = 63
+
+// MaxStaticBlocks is the largest block count Profile.Validate keeps. It
+// bounds every arena index: a program has at most 64 instructions and 8
+// indirect targets per block.
+const MaxStaticBlocks = 1 << 24
+
+// Compile-time checks that the arena fields hold their largest values.
+const _ int32 = MaxStaticBlocks*(maxBody+1) - 1
+
+var (
+	_ = Block{nbody: maxBody}
+	_ = staticInstr{dep1: MaxDepDist, dep2: MaxDepDist}
+	_ = terminator{dep1: MaxDepDist, nInd: maxIndirectTargets, histMask: 1 << maxHistBit}
+)
 
 // Program is a complete synthetic program: the static CFG plus everything a
 // Stream needs to walk it. It is read-only after Build returns, because
 // concurrently running simulators share one Program; all walk state lives
 // in the Stream.
+//
+// The program lives in a few flat arenas whose entries hold no pointers:
+// blocks, instructions, memory generators and indirect-jump targets refer
+// to each other by int32 index, so a Program is a handful of allocations
+// the collector need not scan. Build fills each arena in block order, so a
+// body instruction's static id is its index in instrs and a branch's
+// static id is its block's index in blocks.
 type Program struct {
 	profile Profile
-	blocks  []*Block
+	blocks  []Block
 	// starts[i] = blocks[i].addr, for address->block binary search.
 	starts []isa.Addr
-	// entries lists function-entry blocks (call targets); the first
-	// hotEntries of them form the hot set.
-	entries    []int
+	instrs []staticInstr
+	mems   []memGen
+	// indTargets and indWeights hold the target sets of every indirect
+	// jump: block indices and their Pick weights.
+	indTargets []int32
+	indWeights []float64
+	// entries lists function-entry blocks (call targets) in layout order;
+	// the first hotEntries of them form the hot set.
+	entries    []int32
 	hotEntries int
 	// codeEnd is the first address past the last block.
 	codeEnd isa.Addr
-
-	numStaticInstr  int
-	numStaticBranch int
 }
 
 // Profile returns the profile the program was built from.
@@ -146,11 +177,7 @@ func (p *Program) Entry() isa.Addr { return p.blocks[0].addr }
 
 // AvgStaticBBSize returns the mean static basic-block size in instructions.
 func (p *Program) AvgStaticBBSize() float64 {
-	total := 0
-	for _, b := range p.blocks {
-		total += b.Len()
-	}
-	return float64(total) / float64(len(p.blocks))
+	return float64(len(p.instrs)+len(p.blocks)) / float64(len(p.blocks))
 }
 
 // BlockAt returns the block containing addr and the instruction offset of
@@ -171,7 +198,7 @@ func (p *Program) BlockAt(addr isa.Addr) (*Block, int) {
 	if i < 0 {
 		i = 0
 	}
-	b := p.blocks[i]
+	b := &p.blocks[i]
 	off := int((addr - b.addr) / isa.InstrSize)
 	if off >= b.Len() {
 		off = b.Len() - 1
@@ -184,23 +211,23 @@ func (p *Program) BlockAt(addr isa.Addr) (*Block, int) {
 func Build(profile Profile, seed uint64) *Program {
 	pf := profile.Validate()
 	r := rng.New(seed ^ 0xC0DE_BA5E)
-	p := &Program{profile: pf}
-
 	n := pf.StaticBlocks
-	p.blocks = make([]*Block, n)
-	p.starts = make([]isa.Addr, n)
+	p := &Program{
+		profile: pf,
+		blocks:  make([]Block, n),
+		starts:  make([]isa.Addr, n),
+	}
 
-	// Pass 1: sizes and addresses.
+	// Pass 1: sizes and addresses. Bodies are laid out in block order.
 	addr := CodeBase
-	for i := 0; i < n; i++ {
-		bodyLen := bodySize(r, pf.AvgBBSize)
-		b := &Block{
-			index: i,
-			addr:  addr,
-			body:  make([]staticInstr, bodyLen),
-			next:  (i + 1) % n,
-		}
-		p.blocks[i] = b
+	numInstrs := 0
+	for i := range p.blocks {
+		b := &p.blocks[i]
+		b.addr = addr
+		b.index = int32(i)
+		b.body = int32(numInstrs)
+		b.nbody = uint8(bodySize(r, pf.AvgBBSize))
+		numInstrs += int(b.nbody)
 		p.starts[i] = addr
 		addr += isa.Addr(b.Len() * isa.InstrSize)
 	}
@@ -212,54 +239,66 @@ func Build(profile Profile, seed uint64) *Program {
 	// branches, bounded backward edges only for loop back-edges. This
 	// guarantees the dynamic walk always makes progress toward the
 	// return, so calls and returns balance — the property that keeps the
-	// synthetic walk from collapsing into a degenerate cycle.
-	var funcOf []int // block -> function index
-	funcOf = make([]int, n)
-	var bounds [][2]int // function -> [first, last] block
+	// synthetic walk from collapsing into a degenerate cycle. Every
+	// function but the last has at least 4 blocks.
+	p.entries = make([]int32, 0, n/4+1)
 	for i := 0; i < n; {
 		size := 4 + r.Intn(17) // 4..20 blocks, mean 12
 		if i+size > n {
 			size = n - i
 		}
-		for j := i; j < i+size; j++ {
-			funcOf[j] = len(bounds)
-		}
-		p.entries = append(p.entries, i)
-		bounds = append(bounds, [2]int{i, i + size - 1})
+		p.entries = append(p.entries, int32(i))
 		i += size
 	}
 
 	// Hot functions: calls prefer them, concentrating the dynamic
 	// footprint the way optimized layouts do.
-	hotFuncs := int(pf.HotFraction * float64(len(bounds)))
+	hotFuncs := int(pf.HotFraction * float64(len(p.entries)))
 	if hotFuncs < 1 {
 		hotFuncs = 1
 	}
 	p.hotEntries = hotFuncs
 
-	// Pass 2: bodies and terminators.
-	for i := 0; i < n; i++ {
-		b := p.blocks[i]
-		for j := range b.body {
-			b.body[j] = p.buildInstr(r, pf)
-			b.body[j].id = p.numStaticInstr
-			p.numStaticInstr++
+	// Pass 2: bodies and terminators, function by function.
+	p.instrs = make([]staticInstr, numInstrs)
+	p.mems = make([]memGen, 0, arenaCap(float64(numInstrs)*min(1, pf.LoadFrac+pf.StoreFrac)))
+	indirect := arenaCap(float64(n) * pf.IndirectFrac * (minIndirectTargets + maxIndirectTargets) / 2)
+	p.indTargets = make([]int32, 0, indirect)
+	p.indWeights = make([]float64, 0, indirect)
+	for f, lo := range p.entries {
+		hi := n - 1
+		if f+1 < len(p.entries) {
+			hi = int(p.entries[f+1]) - 1
 		}
-		fn := funcOf[i]
-		lo, hi := bounds[fn][0], bounds[fn][1]
-		if i == hi {
-			// Function end. The empty-call-stack fallback target is
-			// chosen dynamically by the Stream (a fixed one would
-			// collapse the walk into a short deterministic cycle).
-			b.term = terminator{kind: isa.Return}
-		} else {
-			b.term = p.buildTerminator(r, pf, i, lo, hi, hotFuncs)
+		for i := int(lo); i <= hi; i++ {
+			b := &p.blocks[i]
+			body := p.instrs[b.body : int(b.body)+int(b.nbody)]
+			for j := range body {
+				body[j] = p.buildInstr(r, pf)
+			}
+			if i == hi {
+				// Function end. The empty-call-stack fallback target is
+				// chosen dynamically by the Stream (a fixed one would
+				// collapse the walk into a short deterministic cycle).
+				b.term = terminator{kind: isa.Return}
+			} else {
+				b.term = p.buildTerminator(r, pf, i, int(lo), hi, hotFuncs)
+			}
+			b.term.dep1 = depDist(r, 3)
 		}
-		b.term.dep1 = depDist(r, 3)
-		b.term.id = p.numStaticBranch
-		p.numStaticBranch++
 	}
 	return p
+}
+
+// arenaCap returns the capacity to give an arena that receives about mean
+// entries: the headroom is many standard deviations of the count, so
+// append practically never grows the arena and Build's allocation count
+// does not depend on the program's size.
+func arenaCap(mean float64) int {
+	if !(mean > 0) { // a NaN fraction, which Validate lets through
+		mean = 0
+	}
+	return int(mean+16*math.Sqrt(mean)) + 64
 }
 
 // bodySize draws the non-terminator instruction count of a block so that
@@ -268,7 +307,6 @@ func bodySize(r *rng.Rand, mean float64) int {
 	// Block size = 1 (terminator) + body. A geometric body with mean
 	// mean-1 gives blocks with the right mean and a realistic long tail.
 	body := r.Geometric(mean - 1)
-	const maxBody = 63
 	if body > maxBody {
 		body = maxBody
 	}
@@ -306,7 +344,7 @@ const MaxDepDist = 48
 
 // depDist draws a dependence distance; 0 (no dependence) appears for a
 // small fraction of instructions (immediates, loads of globals).
-func depDist(r *rng.Rand, mean float64) uint16 {
+func depDist(r *rng.Rand, mean float64) uint8 {
 	if r.Bool(0.15) {
 		return 0
 	}
@@ -314,21 +352,22 @@ func depDist(r *rng.Rand, mean float64) uint16 {
 	if d > MaxDepDist {
 		d = MaxDepDist
 	}
-	return uint16(d)
+	return uint8(d)
 }
 
-func (p *Program) buildMemGen(r *rng.Rand, pf Profile, isLoad bool) *memGen {
-	g := &memGen{}
-	g.cold = r.Bool(pf.ColdFrac)
+// buildMemGen appends a memory instruction's address generator to p.mems
+// and returns its index.
+func (p *Program) buildMemGen(r *rng.Rand, pf Profile, isLoad bool) int32 {
+	var g memGen
+	cold := r.Bool(pf.ColdFrac)
 	var regionBase, regionSize uint64
-	if g.cold {
+	if cold {
 		regionBase, regionSize = coldDataBase, uint64(pf.ColdBytes)
 	} else {
 		regionBase, regionSize = hotDataBase, uint64(pf.HotBytes)
 	}
 	if r.Bool(pf.StrideFrac) {
 		g.kind = memStride
-		g.stride = 8
 		// Each streaming instruction walks its own sub-range.
 		span := regionSize / 4
 		if span < 4096 {
@@ -343,12 +382,19 @@ func (p *Program) buildMemGen(r *rng.Rand, pf Profile, isLoad bool) *memGen {
 		g.kind = memRandom
 		g.base = regionBase
 		g.size = regionSize
-		if isLoad && g.cold {
+		if isLoad && cold {
 			g.chase = r.Bool(pf.ChaseFrac)
 		}
 	}
-	return g
+	p.mems = append(p.mems, g)
+	return int32(len(p.mems) - 1)
 }
+
+// An indirect jump has minIndirectTargets to maxIndirectTargets targets.
+const (
+	minIndirectTargets = 2
+	maxIndirectTargets = 8
+)
 
 // buildTerminator builds a non-return terminator for block i of the
 // function spanning blocks [lo, hi].
@@ -358,7 +404,7 @@ func (p *Program) buildTerminator(r *rng.Rand, pf Profile, i, lo, hi, hotFuncs i
 	switch {
 	case x < pf.JumpFrac:
 		t.kind = isa.Jump
-		t.target = p.pickForward(r, pf, i, hi)
+		t.target = pickForward(r, i, hi)
 	case x < pf.JumpFrac+pf.CallFrac:
 		t.kind = isa.Call
 		t.target = p.pickCallee(r, pf, hotFuncs)
@@ -367,40 +413,38 @@ func (p *Program) buildTerminator(r *rng.Rand, pf Profile, i, lo, hi, hotFuncs i
 		// Indirect jumps are usually near-monomorphic in practice
 		// (virtual calls with one dominant receiver): the first target
 		// gets most of the weight.
-		k := 2 + r.Intn(7)
-		t.indirectTargets = make([]int, k)
-		t.indirectWeights = make([]float64, k)
+		k := minIndirectTargets + r.Intn(maxIndirectTargets-minIndirectTargets+1)
+		t.target, t.nInd = int32(len(p.indTargets)), uint8(k)
 		for j := 0; j < k; j++ {
-			t.indirectTargets[j] = p.pickForward(r, pf, i, hi)
-			if j == 0 {
-				t.indirectWeights[j] = 8
-			} else {
-				t.indirectWeights[j] = 0.1 + 0.5*r.Float64()
+			p.indTargets = append(p.indTargets, pickForward(r, i, hi))
+			w := 8.0
+			if j > 0 {
+				w = 0.1 + 0.5*r.Float64()
 			}
+			p.indWeights = append(p.indWeights, w)
 		}
 	default:
 		t.kind = isa.CondBranch
-		p.buildCondBehaviour(r, pf, &t, i, lo, hi)
+		buildCondBehaviour(r, pf, &t, i, lo, hi)
 	}
 	return t
 }
 
-func (p *Program) buildCondBehaviour(r *rng.Rand, pf Profile, t *terminator, i, lo, hi int) {
+func buildCondBehaviour(r *rng.Rand, pf Profile, t *terminator, i, lo, hi int) {
 	y := r.Float64()
 	switch {
 	case y < pf.LoopFrac && i > lo:
 		t.class = brLoop
-		t.tripCount = 2 + r.Geometric(float64(pf.MeanTripCount-1))
-		t.target = p.pickBackward(r, pf, i, lo)
+		t.tripCount = int32(2 + r.Geometric(float64(pf.MeanTripCount-1)))
+		t.target = pickBackward(r, i, lo)
 	case y < pf.LoopFrac+pf.CorrFrac:
 		t.class = brCorrelated
 		// Outcome = parity of 2..4 recent branch outcomes.
 		bits := 2 + r.Intn(3)
 		for b := 0; b < bits; b++ {
-			t.histMask |= 1 << uint(1+r.Intn(12))
+			t.histMask |= 1 << uint(1+r.Intn(maxHistBit))
 		}
-		t.noise = pf.Noise
-		t.target = p.pickForward(r, pf, i, hi)
+		t.target = pickForward(r, i, hi)
 	default:
 		t.class = brBiased
 		// Branch direction populations are strongly bimodal: most
@@ -422,35 +466,38 @@ func (p *Program) buildCondBehaviour(r *rng.Rand, pf Profile, t *terminator, i, 
 		default:
 			t.pTaken = 0.005 + 0.045*r.Float64()
 		}
-		t.target = p.pickForward(r, pf, i, hi)
+		t.target = pickForward(r, i, hi)
 	}
 }
+
+// maxHistBit is the oldest history bit a correlated branch reads.
+const maxHistBit = 12
 
 // pickForward chooses a target strictly after block i, within the function
 // (at most the return block hi). Forward-only edges guarantee intra-function
 // progress; hops are short (skip a block or two, like an if/else) so the
 // walk traverses most of a function before returning.
-func (p *Program) pickForward(r *rng.Rand, pf Profile, i, hi int) int {
+func pickForward(r *rng.Rand, i, hi int) int32 {
 	j := i + 1 + r.Geometric(1.4)
 	if j > hi {
 		j = hi
 	}
-	return j
+	return int32(j)
 }
 
 // pickBackward chooses a loop head in [lo, i-1].
-func (p *Program) pickBackward(r *rng.Rand, pf Profile, i, lo int) int {
+func pickBackward(r *rng.Rand, i, lo int) int32 {
 	d := 1 + r.Geometric(2.5)
 	j := i - d
 	if j < lo {
 		j = lo
 	}
-	return j
+	return int32(j)
 }
 
 // pickCallee chooses a call target: a hot-function entry with HotWeight
 // probability, any function otherwise.
-func (p *Program) pickCallee(r *rng.Rand, pf Profile, hotFuncs int) int {
+func (p *Program) pickCallee(r *rng.Rand, pf Profile, hotFuncs int) int32 {
 	if r.Bool(pf.HotWeight) {
 		return p.entries[r.Intn(hotFuncs)]
 	}
@@ -460,36 +507,6 @@ func (p *Program) pickCallee(r *rng.Rand, pf Profile, hotFuncs int) int {
 // String summarizes the program.
 func (p *Program) String() string {
 	return fmt.Sprintf("prog %s: %d blocks, %d instrs, %.1fKB code, avg BB %.2f",
-		p.profile.Name, len(p.blocks), p.numStaticInstr+p.numStaticBranch,
+		p.profile.Name, len(p.blocks), len(p.instrs)+len(p.blocks),
 		float64(p.CodeBytes())/1024, p.AvgStaticBBSize())
-}
-
-// BranchClassAt returns a diagnostic label for the branch at pc ("loop",
-// "corr", "biased", "jump", ...), used by tests and cmd/progstat.
-func (p *Program) BranchClassAt(pc isa.Addr) string {
-	b, off := p.BlockAt(pc)
-	if off != len(b.body) {
-		return "notbranch"
-	}
-	t := &b.term
-	if t.kind != isa.CondBranch {
-		return t.kind.String()
-	}
-	switch t.class {
-	case brLoop:
-		return "loop"
-	case brCorrelated:
-		return "corr"
-	default:
-		switch {
-		case t.pTaken < 0.03:
-			return "rare"
-		case t.pTaken >= 0.25 && t.pTaken <= 0.75:
-			return "hard"
-		case t.pTaken > 0.75:
-			return "strongT"
-		default:
-			return "weakNT"
-		}
-	}
 }

@@ -50,7 +50,7 @@ func (s *Stream) EncodeState(w *snap.Writer) {
 	for _, v := range st {
 		w.U64(v)
 	}
-	w.Int(s.blk.index)
+	w.Int(int(s.blk.index))
 	w.Int(s.off)
 	encodeIntMap(w, s.loopCounts)
 	encodeU64Map(w, s.strideOffs)
@@ -86,7 +86,7 @@ func (s *Stream) DecodeState(r *snap.Reader) {
 		r.Fail("prog: block index %d out of range (%d blocks)", bi, len(s.prog.blocks))
 		return
 	}
-	s.blk = s.prog.blocks[bi]
+	s.blk = &s.prog.blocks[bi]
 	s.off = r.Int()
 	n := r.Len()
 	clear(s.loopCounts)

@@ -120,22 +120,25 @@ func (s *Stream) Redirect(pc isa.Addr) {
 //
 //smtfetch:hotpath
 func (s *Stream) gen() isa.Instruction {
+	p := s.prog
 	b := s.blk
 	s.Generated++
 	s.sinceLoad++
-	if s.off < len(b.body) {
-		si := &b.body[s.off]
+	if s.off < int(b.nbody) {
+		id := int(b.body) + s.off
+		si := &p.instrs[id]
 		in := isa.Instruction{
 			PC:      b.addr + isa.Addr(s.off*isa.InstrSize),
 			PathSeq: s.Generated,
 			Class:   si.class,
-			Dep1:    si.dep1,
-			Dep2:    si.dep2,
+			Dep1:    uint16(si.dep1),
+			Dep2:    uint16(si.dep2),
 			HasDest: si.hasDest,
 		}
-		if si.mem != nil {
-			in.EffAddr = s.memAddr(si)
-			if si.mem.chase && s.sinceLoad < MaxDepDist {
+		if si.class == isa.Load || si.class == isa.Store {
+			g := &p.mems[si.mem]
+			in.EffAddr = s.memAddr(id, g)
+			if g.chase && s.sinceLoad < MaxDepDist {
 				// Pointer chase: address depends on the previous load.
 				in.Dep1 = uint16(s.sinceLoad)
 			}
@@ -155,30 +158,32 @@ func (s *Stream) gen() isa.Instruction {
 		PathSeq:     s.Generated,
 		Class:       isa.Branch,
 		BrKind:      t.kind,
-		Dep1:        t.dep1,
+		Dep1:        uint16(t.dep1),
 		FallThrough: pc + isa.InstrSize,
 	}
 	s.Branches++
-	var nextBlk *Block
+	var next *Block
 	switch t.kind {
 	case isa.CondBranch:
-		in.Taken = s.condOutcome(t)
+		in.Taken = s.condOutcome(int(b.index), t)
 		s.hist = s.hist<<1 | boolBit(in.Taken)
 		if in.Taken {
-			nextBlk = s.prog.blocks[t.target]
-			in.Target = nextBlk.addr
+			next = &p.blocks[t.target]
+			in.Target = next.addr
+		} else if i := int(b.index) + 1; i < len(p.blocks) {
+			next = &p.blocks[i]
 		} else {
-			nextBlk = s.prog.blocks[b.next]
+			next = &p.blocks[0]
 		}
 	case isa.Jump:
 		in.Taken = true
-		nextBlk = s.prog.blocks[t.target]
-		in.Target = nextBlk.addr
+		next = &p.blocks[t.target]
+		in.Target = next.addr
 	case isa.Call:
 		in.Taken = true
 		in.HasDest = true // writes the return-address register
-		nextBlk = s.prog.blocks[t.target]
-		in.Target = nextBlk.addr
+		next = &p.blocks[t.target]
+		in.Target = next.addr
 		ra := in.FallThrough
 		if len(s.callStack) >= maxCallStack {
 			copy(s.callStack, s.callStack[1:])
@@ -196,33 +201,29 @@ func (s *Stream) gen() isa.Instruction {
 			// Empty call stack: the walk restarts in a random hot
 			// function (the synthetic equivalent of the benchmark's
 			// main loop dispatching new work).
-			e := s.prog.entries[s.r.Intn(s.prog.hotEntries)]
-			ra = s.prog.blocks[e].addr
+			e := p.entries[s.r.Intn(p.hotEntries)]
+			ra = p.blocks[e].addr
 		}
 		in.Target = ra
-		nb, _ := s.prog.BlockAt(ra)
-		nextBlk = nb
 		// Reposition precisely (the return address may be mid-block
 		// only when the fallback target was used; BlockAt handles it).
-		s.blk = nextBlk
-		s.off = int((ra - nextBlk.addr) / isa.InstrSize)
-		if s.off >= nextBlk.Len() {
+		s.blk, _ = p.BlockAt(ra)
+		s.off = int((ra - s.blk.addr) / isa.InstrSize)
+		if s.off >= s.blk.Len() {
 			s.off = 0
 		}
-		if in.Taken {
-			s.TakenBranches++
-		}
+		s.TakenBranches++
 		return in
 	case isa.IndirectJump:
 		in.Taken = true
-		i := s.r.Pick(t.indirectWeights)
-		nextBlk = s.prog.blocks[t.indirectTargets[i]]
-		in.Target = nextBlk.addr
+		i := int(t.target) + s.r.Pick(p.indWeights[t.target:int(t.target)+int(t.nInd)])
+		next = &p.blocks[p.indTargets[i]]
+		in.Target = next.addr
 	}
 	if in.Taken {
 		s.TakenBranches++
 	}
-	s.blk = nextBlk
+	s.blk = next
 	s.off = 0
 	return in
 }
@@ -235,25 +236,25 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// condOutcome evaluates a conditional branch's synthetic behaviour.
+// condOutcome evaluates the synthetic behaviour of conditional branch id.
 //
 //smtfetch:hotpath
-func (s *Stream) condOutcome(t *terminator) bool {
+func (s *Stream) condOutcome(id int, t *terminator) bool {
 	switch t.class {
 	case brLoop:
-		c := s.loopCounts[t.id]
-		taken := c < t.tripCount-1
+		c := s.loopCounts[id]
+		taken := c < int(t.tripCount)-1
 		if taken {
 			//smtfetch:allowalloc loopCounts is keyed by static branch id: bounded by the program's static footprint
-			s.loopCounts[t.id] = c + 1
+			s.loopCounts[id] = c + 1
 		} else {
 			//smtfetch:allowalloc loopCounts is keyed by static branch id: bounded by the program's static footprint
-			s.loopCounts[t.id] = 0
+			s.loopCounts[id] = 0
 		}
 		return taken
 	case brCorrelated:
-		out := popcount(s.hist&t.histMask)&1 == 1
-		if s.r.Bool(t.noise) {
+		out := popcount(s.hist&uint64(t.histMask))&1 == 1
+		if s.r.Bool(s.prog.profile.Noise) {
 			out = !out
 		}
 		return out
@@ -272,17 +273,16 @@ func popcount(x uint64) int {
 	return n
 }
 
-// memAddr computes the next effective address for a static memory
-// instruction.
+// memAddr computes the next effective address of static memory
+// instruction id, whose generator is g.
 //
 //smtfetch:hotpath
-func (s *Stream) memAddr(si *staticInstr) isa.Addr {
-	g := si.mem
+func (s *Stream) memAddr(id int, g *memGen) isa.Addr {
 	switch g.kind {
 	case memStride:
-		off := s.strideOffs[si.id]
+		off := s.strideOffs[id]
 		//smtfetch:allowalloc strideOffs is keyed by static instruction id: bounded by the program's static footprint
-		s.strideOffs[si.id] = off + g.stride
+		s.strideOffs[id] = off + strideBytes
 		return isa.Addr(g.base + off%g.size)
 	default: // memRandom
 		return isa.Addr(g.base + uint64(s.r.Int63n(int64(g.size)))&^7)

@@ -8,6 +8,8 @@
 // algorithms by Blackman and Vigna.
 package rng
 
+import "math"
+
 // SplitMix64 advances the given state and returns the next 64-bit output.
 // It is used to derive independent seeds for child generators.
 func SplitMix64(state *uint64) uint64 {
@@ -92,20 +94,23 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
+// Bool returns true with probability p. It draws nothing when p <= 0 or
+// p >= 1.
 func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
+	return p >= 1 || !(p <= 0) && r.Float64() < p
 }
+
+// maxGeometric caps Geometric's result; practically unreachable.
+const maxGeometric = 1 << 20
 
 // Geometric returns a sample from a geometric distribution with mean m
 // (support {1, 2, ...}). Used for basic-block sizes and dependence
 // distances. m must be >= 1; values are clamped to at least 1.
+//
+// It returns, draw for draw, what counting failed trials of Bool(1/m)
+// returns. Float64() < p holds exactly when the top 53 bits of the draw
+// are below p·2^53, a product that is exact, so each trial compares
+// integers, with the generator state kept in locals.
 func (r *Rand) Geometric(m float64) int {
 	if m <= 1 {
 		return 1
@@ -114,12 +119,30 @@ func (r *Rand) Geometric(m float64) int {
 	// mean = 1/p.
 	p := 1.0 / m
 	n := 1
-	for !r.Bool(p) {
-		n++
-		if n >= 1<<20 { // safety clamp; practically unreachable
+	if !(p > 0) { // m is +Inf or NaN: Bool's own edge cases apply
+		for n < maxGeometric && !r.Bool(p) {
+			n++
+		}
+		return n
+	}
+	limit := uint64(math.Ceil(p * (1 << 53)))
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for n < maxGeometric {
+		// One step of Uint64.
+		x := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if x>>11 < limit {
 			break
 		}
+		n++
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return n
 }
 
