@@ -1,253 +1,116 @@
 package bpred
 
-// Checkpoint (warm-state snapshot) encoders and decoders. Geometry
-// (table sizes, associativity, masks) is rebuilt from the configuration by
-// the caller; only dynamic contents are serialized. Decoders validate the
-// dynamic state against the receiver's geometry so a snapshot taken under
-// a different configuration fails loudly instead of corrupting tables.
+// Checkpoint (warm-state snapshot) codecs. Geometry (table sizes,
+// associativity, masks) is rebuilt from the configuration by the caller;
+// only dynamic contents are serialized. Decoding validates the dynamic
+// state against the receiver's geometry so a snapshot taken under a
+// different configuration fails loudly instead of corrupting tables.
 //
 // All of this is cold-path code: it runs once per warm-up group, never
 // inside the cycle loop.
 
-import (
-	"smtfetch/internal/isa"
-	"smtfetch/internal/snap"
-)
+import "smtfetch/internal/snap"
 
-func encodeCounters(w *snap.Writer, cs []counter) {
-	w.U64(uint64(len(cs)))
-	for _, c := range cs {
-		w.U8(uint8(c))
+func snapCounters(c *snap.Codec, cs []counter) {
+	if c.Table(len(cs), "bpred: counter table") {
+		for i := range cs {
+			snap.U8(c, &cs[i])
+		}
 	}
 }
 
-func decodeCounters(r *snap.Reader, cs []counter) {
-	n := r.Len()
-	if r.Err() != nil {
-		return
-	}
-	if n != len(cs) {
-		r.Fail("bpred: counter table length %d, snapshot has %d", len(cs), n)
-		return
-	}
-	for i := range cs {
-		cs[i] = counter(r.U8())
-	}
-}
+// Snap codes the gshare counter table.
+func (g *GShare) Snap(c *snap.Codec) { snapCounters(c, g.table) }
 
-// EncodeState serializes the gshare counter table.
-func (g *GShare) EncodeState(w *snap.Writer) { encodeCounters(w, g.table) }
-
-// DecodeState restores the gshare counter table.
-func (g *GShare) DecodeState(r *snap.Reader) { decodeCounters(r, g.table) }
-
-// EncodeState serializes the three gskew banks.
-func (g *GSkew) EncodeState(w *snap.Writer) {
+// Snap codes the three gskew banks.
+func (g *GSkew) Snap(c *snap.Codec) {
 	for b := range g.banks {
-		encodeCounters(w, g.banks[b])
+		snapCounters(c, g.banks[b])
 	}
 }
 
-// DecodeState restores the three gskew banks.
-func (g *GSkew) DecodeState(r *snap.Reader) {
-	for b := range g.banks {
-		decodeCounters(r, g.banks[b])
+// Snap codes the BTB contents and hit statistics.
+func (b *BTB) Snap(c *snap.Codec) {
+	if c.Table(len(b.tags), "bpred: BTB") {
+		for i := range b.tags {
+			c.U64(&b.tags[i])
+			c.Bool(&b.valid[i])
+			snap.U8(c, &b.data[i].Kind)
+			snap.U64(c, &b.data[i].Target)
+			c.U64(&b.lru[i])
+		}
 	}
+	c.U64(&b.stamp)
+	c.U64(&b.Lookups)
+	c.U64(&b.Hits)
 }
 
-// EncodeState serializes the BTB contents and hit statistics.
-func (b *BTB) EncodeState(w *snap.Writer) {
-	w.U64(uint64(len(b.tags)))
-	for i := range b.tags {
-		w.U64(b.tags[i])
-		w.Bool(b.valid[i])
-		w.U8(uint8(b.data[i].Kind))
-		w.U64(uint64(b.data[i].Target))
-		w.U64(b.lru[i])
+// Snap codes the FTB contents and hit statistics.
+func (f *FTB) Snap(c *snap.Codec) {
+	if c.Table(len(f.tags), "bpred: FTB") {
+		for i := range f.tags {
+			c.U64(&f.tags[i])
+			c.Bool(&f.valid[i])
+			c.Int(&f.data[i].Instrs)
+			snap.U8(c, &f.data[i].Kind)
+			snap.U64(c, &f.data[i].Target)
+			c.U8(&f.data[i].fallthroughs)
+			c.U64(&f.lru[i])
+		}
 	}
-	w.U64(b.stamp)
-	w.U64(b.Lookups)
-	w.U64(b.Hits)
+	c.U64(&f.stamp)
+	c.U64(&f.Lookups)
+	c.U64(&f.Hits)
 }
 
-// DecodeState restores the BTB contents and hit statistics.
-func (b *BTB) DecodeState(r *snap.Reader) {
-	n := r.Len()
-	if r.Err() != nil {
-		return
+// Snap codes the RAS entries and stack position.
+func (r *RAS) Snap(c *snap.Codec) {
+	if c.Table(len(r.entries), "bpred: RAS") {
+		for i := range r.entries {
+			snap.U64(c, &r.entries[i])
+		}
 	}
-	if n != len(b.tags) {
-		r.Fail("bpred: BTB size %d, snapshot has %d", len(b.tags), n)
-		return
-	}
-	for i := range b.tags {
-		b.tags[i] = r.U64()
-		b.valid[i] = r.Bool()
-		b.data[i].Kind = isa.BranchKind(r.U8())
-		b.data[i].Target = isa.Addr(r.U64())
-		b.lru[i] = r.U64()
-	}
-	b.stamp = r.U64()
-	b.Lookups = r.U64()
-	b.Hits = r.U64()
+	c.Int(&r.top)
+	c.Int(&r.depth)
 }
 
-// EncodeState serializes the FTB contents and hit statistics.
-func (f *FTB) EncodeState(w *snap.Writer) {
-	w.U64(uint64(len(f.tags)))
-	for i := range f.tags {
-		w.U64(f.tags[i])
-		w.Bool(f.valid[i])
-		w.Int(f.data[i].Instrs)
-		w.U8(uint8(f.data[i].Kind))
-		w.U64(uint64(f.data[i].Target))
-		w.U8(f.data[i].fallthroughs)
-		w.U64(f.lru[i])
-	}
-	w.U64(f.stamp)
-	w.U64(f.Lookups)
-	w.U64(f.Hits)
+// Snap codes a RAS checkpoint value (embedded in FTQ branch records,
+// whose fields are unexported outside this package).
+func (cp *RASCheckpoint) Snap(c *snap.Codec) {
+	c.Int(&cp.top)
+	c.Int(&cp.depth)
+	snap.U64(c, &cp.val)
 }
 
-// DecodeState restores the FTB contents and hit statistics.
-func (f *FTB) DecodeState(r *snap.Reader) {
-	n := r.Len()
-	if r.Err() != nil {
-		return
-	}
-	if n != len(f.tags) {
-		r.Fail("bpred: FTB size %d, snapshot has %d", len(f.tags), n)
-		return
-	}
-	for i := range f.tags {
-		f.tags[i] = r.U64()
-		f.valid[i] = r.Bool()
-		f.data[i].Instrs = r.Int()
-		f.data[i].Kind = isa.BranchKind(r.U8())
-		f.data[i].Target = isa.Addr(r.U64())
-		f.data[i].fallthroughs = r.U8()
-		f.lru[i] = r.U64()
-	}
-	f.stamp = r.U64()
-	f.Lookups = r.U64()
-	f.Hits = r.U64()
-}
-
-// EncodeState serializes the RAS entries and stack position.
-func (r *RAS) EncodeState(w *snap.Writer) {
-	w.U64(uint64(len(r.entries)))
-	for _, e := range r.entries {
-		w.U64(uint64(e))
-	}
-	w.Int(r.top)
-	w.Int(r.depth)
-}
-
-// DecodeState restores the RAS entries and stack position.
-func (r *RAS) DecodeState(rd *snap.Reader) {
-	n := rd.Len()
-	if rd.Err() != nil {
-		return
-	}
-	if n != len(r.entries) {
-		rd.Fail("bpred: RAS size %d, snapshot has %d", len(r.entries), n)
-		return
-	}
-	for i := range r.entries {
-		r.entries[i] = isa.Addr(rd.U64())
-	}
-	r.top = rd.Int()
-	r.depth = rd.Int()
-}
-
-// EncodeValue serializes a RAS checkpoint value (embedded in FTQ branch
-// records, whose fields are unexported outside this package).
-func (cp RASCheckpoint) EncodeValue(w *snap.Writer) {
-	w.Int(cp.top)
-	w.Int(cp.depth)
-	w.U64(uint64(cp.val))
-}
-
-// DecodeRASCheckpoint reads a checkpoint written with EncodeValue.
-func DecodeRASCheckpoint(r *snap.Reader) RASCheckpoint {
-	var cp RASCheckpoint
-	cp.top = r.Int()
-	cp.depth = r.Int()
-	cp.val = isa.Addr(r.U64())
-	return cp
-}
-
-// EncodeValue serializes a path history value.
-func (p PathHistory) EncodeValue(w *snap.Writer) {
-	for _, v := range p.ring {
-		w.U32(v)
-	}
-	w.U8(p.pos)
-}
-
-// DecodePathHistory reads a path history written with EncodeValue.
-func DecodePathHistory(r *snap.Reader) PathHistory {
-	var p PathHistory
+// Snap codes a path history value.
+func (p *PathHistory) Snap(c *snap.Codec) {
 	for i := range p.ring {
-		p.ring[i] = r.U32()
+		c.U32(&p.ring[i])
 	}
-	p.pos = r.U8()
-	return p
+	c.U8(&p.pos)
 }
 
-func (t *streamTable) encodeState(w *snap.Writer) {
-	w.U64(uint64(len(t.tags)))
-	for i := range t.tags {
-		w.U64(t.tags[i])
-		w.Bool(t.valid[i])
-		w.Int(t.data[i].pred.Length)
-		w.U64(uint64(t.data[i].pred.Next))
-		w.Bool(t.data[i].pred.EndsInReturn)
-		w.Bool(t.data[i].pred.EndsInCall)
-		w.U8(uint8(t.data[i].conf))
-		w.U64(t.lru[i])
+func (t *streamTable) snap(c *snap.Codec) {
+	if c.Table(len(t.tags), "bpred: stream table") {
+		for i := range t.tags {
+			c.U64(&t.tags[i])
+			c.Bool(&t.valid[i])
+			c.Int(&t.data[i].pred.Length)
+			snap.U64(c, &t.data[i].pred.Next)
+			c.Bool(&t.data[i].pred.EndsInReturn)
+			c.Bool(&t.data[i].pred.EndsInCall)
+			snap.U8(c, &t.data[i].conf)
+			c.U64(&t.lru[i])
+		}
 	}
-	w.U64(t.stamp)
+	c.U64(&t.stamp)
 }
 
-func (t *streamTable) decodeState(r *snap.Reader) {
-	n := r.Len()
-	if r.Err() != nil {
-		return
-	}
-	if n != len(t.tags) {
-		r.Fail("bpred: stream table size %d, snapshot has %d", len(t.tags), n)
-		return
-	}
-	for i := range t.tags {
-		t.tags[i] = r.U64()
-		t.valid[i] = r.Bool()
-		t.data[i].pred.Length = r.Int()
-		t.data[i].pred.Next = isa.Addr(r.U64())
-		t.data[i].pred.EndsInReturn = r.Bool()
-		t.data[i].pred.EndsInCall = r.Bool()
-		t.data[i].conf = counter(r.U8())
-		t.lru[i] = r.U64()
-	}
-	t.stamp = r.U64()
-}
-
-// EncodeState serializes both stream-table levels and the lookup
-// statistics.
-func (s *StreamPredictor) EncodeState(w *snap.Writer) {
-	s.l1.encodeState(w)
-	s.l2.encodeState(w)
-	w.U64(s.Lookups)
-	w.U64(s.L2Hits)
-	w.U64(s.L1Hits)
-}
-
-// DecodeState restores both stream-table levels and the lookup
-// statistics.
-func (s *StreamPredictor) DecodeState(r *snap.Reader) {
-	s.l1.decodeState(r)
-	s.l2.decodeState(r)
-	s.Lookups = r.U64()
-	s.L2Hits = r.U64()
-	s.L1Hits = r.U64()
+// Snap codes both stream-table levels and the lookup statistics.
+func (s *StreamPredictor) Snap(c *snap.Codec) {
+	s.l1.snap(c)
+	s.l2.snap(c)
+	c.U64(&s.Lookups)
+	c.U64(&s.L2Hits)
+	c.U64(&s.L1Hits)
 }

@@ -1,9 +1,9 @@
 package cache
 
-// Warm-state snapshot encoders/decoders plus the no-side-effect warm
-// methods used by functional fast-forward. Geometry is rebuilt from the
-// configuration by the caller; decoders restore only dynamic contents and
-// validate sizes against the receiver.
+// Warm-state snapshot codecs plus the no-side-effect warm methods used by
+// functional fast-forward. Geometry is rebuilt from the configuration by
+// the caller; decoding restores only dynamic contents and validates sizes
+// against the receiver.
 //
 // MSHR maps are serialized as (line, ready) pairs sorted by line address
 // so the byte stream is independent of Go's map iteration order; the heap
@@ -13,80 +13,39 @@ package cache
 // All of this is cold-path code, outside the cycle loop.
 
 import (
-	"sort"
-
 	"smtfetch/internal/isa"
 	"smtfetch/internal/snap"
 )
 
-// EncodeState serializes the cache's tag/valid/LRU arrays and counters.
-func (c *Cache) EncodeState(w *snap.Writer) {
-	w.U64(uint64(len(c.tags)))
-	for i := range c.tags {
-		w.U64(c.tags[i])
-		w.Bool(c.valid[i])
-		w.U64(c.lru[i])
+// Snap codes the cache's tag/valid/LRU arrays and counters.
+func (c *Cache) Snap(sc *snap.Codec) {
+	if sc.Table(len(c.tags), "cache:") {
+		for i := range c.tags {
+			sc.U64(&c.tags[i])
+			sc.Bool(&c.valid[i])
+			sc.U64(&c.lru[i])
+		}
 	}
-	w.U64(c.stamp)
-	w.U64(c.Accesses)
-	w.U64(c.Misses)
+	sc.U64(&c.stamp)
+	sc.U64(&c.Accesses)
+	sc.U64(&c.Misses)
 }
 
-// DecodeState restores the cache's tag/valid/LRU arrays and counters.
-func (c *Cache) DecodeState(r *snap.Reader) {
-	n := r.Len()
-	if r.Err() != nil {
-		return
+// Snap codes the TLB contents. The page index map is not serialized;
+// decoding rebuilds it from pages/valid.
+func (t *TLB) Snap(c *snap.Codec) {
+	if c.Table(t.entries, "cache: TLB") {
+		for i := 0; i < t.entries; i++ {
+			c.U64(&t.pages[i])
+			c.Bool(&t.valid[i])
+			c.U64(&t.lru[i])
+		}
 	}
-	if n != len(c.tags) {
-		r.Fail("cache: size %d, snapshot has %d", len(c.tags), n)
-		return
-	}
-	for i := range c.tags {
-		c.tags[i] = r.U64()
-		c.valid[i] = r.Bool()
-		c.lru[i] = r.U64()
-	}
-	c.stamp = r.U64()
-	c.Accesses = r.U64()
-	c.Misses = r.U64()
-}
-
-// EncodeState serializes the TLB contents (the page index map is not
-// serialized; it is rebuilt from pages/valid on decode).
-func (t *TLB) EncodeState(w *snap.Writer) {
-	w.U64(uint64(t.entries))
-	for i := 0; i < t.entries; i++ {
-		w.U64(t.pages[i])
-		w.Bool(t.valid[i])
-		w.U64(t.lru[i])
-	}
-	w.U64(t.stamp)
-	w.Int(t.mru)
-	w.U64(t.Accesses)
-	w.U64(t.Misses)
-}
-
-// DecodeState restores the TLB contents and rebuilds the page index.
-func (t *TLB) DecodeState(r *snap.Reader) {
-	n := r.Len()
-	if r.Err() != nil {
-		return
-	}
-	if n != t.entries {
-		r.Fail("cache: TLB size %d, snapshot has %d", t.entries, n)
-		return
-	}
-	for i := 0; i < t.entries; i++ {
-		t.pages[i] = r.U64()
-		t.valid[i] = r.Bool()
-		t.lru[i] = r.U64()
-	}
-	t.stamp = r.U64()
-	t.mru = r.Int()
-	t.Accesses = r.U64()
-	t.Misses = r.U64()
-	if r.Err() != nil {
+	c.U64(&t.stamp)
+	c.Int(&t.mru)
+	c.U64(&t.Accesses)
+	c.U64(&t.Misses)
+	if !c.Decoding() || c.Err() != nil {
 		return
 	}
 	clear(t.idx)
@@ -97,60 +56,28 @@ func (t *TLB) DecodeState(r *snap.Reader) {
 	}
 }
 
-// encodeState serializes the outstanding-miss set as sorted (line, ready)
-// pairs.
-func (s *mshrSet) encodeState(w *snap.Writer) {
-	lines := make([]isa.Addr, 0, len(s.ready))
-	//smtfetch:commutative keys are collected and sorted before encoding
-	for line := range s.ready {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.U64(uint64(len(lines)))
-	for _, line := range lines {
-		w.U64(uint64(line))
-		w.U64(s.ready[line])
-	}
-}
-
-// decodeState restores the outstanding-miss set and rebuilds the heap.
-func (s *mshrSet) decodeState(r *snap.Reader) {
-	n := r.Len()
-	if r.Err() != nil {
+// snap codes the outstanding-miss set as sorted (line, ready) pairs;
+// decoding rebuilds the heap from them.
+func (s *mshrSet) snap(c *snap.Codec) {
+	snap.Map(c, s.ready, (*snap.Codec).U64)
+	if !c.Decoding() || c.Err() != nil {
 		return
 	}
-	clear(s.ready)
 	s.heap = s.heap[:0]
-	for i := 0; i < n; i++ {
-		line := isa.Addr(r.U64())
-		ready := r.U64()
-		if r.Err() != nil {
-			return
-		}
-		s.add(line, ready)
+	for _, line := range snap.SortedKeys(s.ready) {
+		s.add(line, s.ready[line])
 	}
 }
 
-// EncodeState serializes the whole hierarchy's dynamic state.
-func (h *Hierarchy) EncodeState(w *snap.Writer) {
-	h.L1I.EncodeState(w)
-	h.L1D.EncodeState(w)
-	h.L2.EncodeState(w)
-	h.ITLB.EncodeState(w)
-	h.DTLB.EncodeState(w)
-	h.imshrs.encodeState(w)
-	h.dmshrs.encodeState(w)
-}
-
-// DecodeState restores the whole hierarchy's dynamic state.
-func (h *Hierarchy) DecodeState(r *snap.Reader) {
-	h.L1I.DecodeState(r)
-	h.L1D.DecodeState(r)
-	h.L2.DecodeState(r)
-	h.ITLB.DecodeState(r)
-	h.DTLB.DecodeState(r)
-	h.imshrs.decodeState(r)
-	h.dmshrs.decodeState(r)
+// Snap codes the whole hierarchy's dynamic state.
+func (h *Hierarchy) Snap(c *snap.Codec) {
+	h.L1I.Snap(c)
+	h.L1D.Snap(c)
+	h.L2.Snap(c)
+	h.ITLB.Snap(c)
+	h.DTLB.Snap(c)
+	h.imshrs.snap(c)
+	h.dmshrs.snap(c)
 }
 
 // warmTouch models the residency effect of an access without any timing,

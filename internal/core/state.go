@@ -142,61 +142,77 @@ func (s *Sim) Snapshot() ([]byte, error) {
 		}
 	}
 
-	w := &snap.Writer{}
-	w.U32(snapMagic)
-	w.U32(snapVersion)
-	w.U64(s.cfgHash())
-	w.Int(s.nthreads)
-	w.U64(s.now)
-	w.U64(s.gseq)
+	c := snap.NewEncoder()
+	put := func(v int) { c.Int(&v) }
+	s.snapHeader(c)
 
 	// Request table. The thread id is written ahead of the content so
 	// Restore can acquire from the right per-thread pool before decoding.
-	w.Int(len(reqs))
+	put(len(reqs))
 	for _, r := range reqs {
-		w.Int(r.Thread)
-		r.EncodeState(w)
+		put(r.Thread)
+		r.Snap(c)
 	}
 
 	// Front end: predictor tables, per-thread speculative state, trace
 	// cursors, and FTQ contents as request-table indices.
-	s.fe.EncodeState(w, func(r *ftq.Request) int { return reqIdx[r] })
+	s.fe.Snap(c, func(r *ftq.Request) int { return reqIdx[r] }, nil)
 
 	// Uop table: payload plus the (request, branch-slot) link re-binding
 	// Info/Req on restore.
-	w.Int(len(uops))
+	put(len(uops))
 	for _, u := range uops {
-		u.EncodeState(w)
+		u.Snap(c)
 		if u.Req != nil {
 			slot := u.Req.BranchSlot(u.Info)
 			if slot < 0 {
 				return nil, fmt.Errorf("core: uop branch info does not belong to its request")
 			}
-			w.Int(reqIdx[u.Req])
-			w.Int(slot)
+			put(reqIdx[u.Req])
+			put(slot)
 		} else {
-			w.Int(-1)
-			w.Int(-1)
+			put(-1)
+			put(-1)
 		}
 	}
 
 	// Containers as uop-table index lists, in the same order Restore
-	// rebuilds them.
-	w.Int(s.rob.Len())
-	s.rob.Each(func(u *pipeline.UOp) { w.Int(uopIdx[u]) })
+	// rebuilds them. Execution-side lists and replay queues drop their
+	// squashed entries (the list's next lazy scan would drop them anyway)
+	// and replay queues their consumed prefix (replayPos normalizes to
+	// zero).
+	putList := func(list []*pipeline.UOp) {
+		n := 0
+		for _, u := range list {
+			if !u.Squashed {
+				n++
+			}
+		}
+		put(n)
+		for _, u := range list {
+			if !u.Squashed {
+				put(uopIdx[u])
+			}
+		}
+	}
+	put(s.rob.Len())
+	s.rob.Each(func(u *pipeline.UOp) { put(uopIdx[u]) })
 	for k := 0; k < pipeline.NumQueues; k++ {
 		q := s.iqs[k]
-		w.Int(q.Len())
-		q.Each(func(u *pipeline.UOp) { w.Int(uopIdx[u]) })
+		put(q.Len())
+		q.Each(func(u *pipeline.UOp) { put(uopIdx[u]) })
 	}
-	encodeRingIndices(w, s.fetchBuf, uopIdx)
-	encodeRingIndices(w, s.frontPipe, uopIdx)
-	encodeListIndices(w, s.execList, uopIdx)
-	encodeListIndices(w, s.pendingDecode, uopIdx)
+	for _, ring := range []*pipeline.UOpRing{s.fetchBuf, s.frontPipe} {
+		put(ring.Len())
+		for i := 0; i < ring.Len(); i++ {
+			put(uopIdx[ring.At(i)])
+		}
+	}
+	putList(s.execList)
+	putList(s.pendingDecode)
 	for t := range s.threads {
 		ts := &s.threads[t]
-		// The consumed prefix is dropped: replayPos normalizes to zero.
-		encodeListIndices(w, ts.replay[ts.replayPos:], uopIdx)
+		putList(ts.replay[ts.replayPos:])
 	}
 
 	// Dependence rings: index-or-(-1) per slot, canonicalized. A slot is
@@ -213,60 +229,74 @@ func (s *Sim) Snapshot() ([]byte, error) {
 			u := ts.ring[i]
 			if u == nil || u.Squashed || u.Thread != t ||
 				int(u.PathSeq&((1<<ringBits)-1)) != i {
-				w.Int(-1)
+				put(-1)
 				continue
 			}
 			if idx, ok := uopIdx[u]; ok {
-				w.Int(idx)
+				put(idx)
 			} else {
-				w.Int(-1)
+				put(-1)
 			}
 		}
 	}
 
-	// Per-thread policy-signal counters and stall deadlines.
+	s.snapScalars(c)
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	return c.Bytes(), nil
+}
+
+// snapHeader codes the stream header: magic, format version,
+// configuration fingerprint and thread count, each checked against the
+// receiver when decoding, then the clock and the global sequence number.
+func (s *Sim) snapHeader(c *snap.Codec) {
+	magic, version, cfg, n := snapMagic, snapVersion, s.cfgHash(), s.nthreads
+	c.U32(&magic)
+	if magic != snapMagic {
+		c.Fail("core: not a snapshot (bad magic %#x)", magic)
+		return
+	}
+	c.U32(&version)
+	if version != snapVersion {
+		c.Fail("core: snapshot version %d, this build reads %d", version, snapVersion)
+		return
+	}
+	c.U64(&cfg)
+	if cfg != s.cfgHash() {
+		c.Fail("core: snapshot was taken under a different configuration")
+		return
+	}
+	c.Int(&n)
+	if n != s.nthreads {
+		c.Fail("core: snapshot has %d threads, simulator has %d", n, s.nthreads)
+		return
+	}
+	c.U64(&s.now)
+	c.U64(&s.gseq)
+}
+
+// snapScalars codes the tail of the stream: per-thread policy-signal
+// counters and stall deadlines, the register free counts, the memory
+// hierarchy and the statistics.
+func (s *Sim) snapScalars(c *snap.Codec) {
 	for t := range s.threads {
 		ts := &s.threads[t]
-		w.Int(ts.icount)
-		w.U64(ts.predictStallUntil)
-		w.U64(ts.icacheBlockedUntil)
-		w.Int(ts.brcount)
-		w.Int(ts.dmisses)
-		w.Int(ts.longLoads)
-		w.Int(s.flowBase[t])
+		c.Int(&ts.icount)
+		c.U64(&ts.predictStallUntil)
+		c.U64(&ts.icacheBlockedUntil)
+		c.Int(&ts.brcount)
+		c.Int(&ts.dmisses)
+		c.Int(&ts.longLoads)
+		c.Int(&s.flowBase[t])
 	}
-
-	w.Int(s.intRegs.Free())
-	w.Int(s.fpRegs.Free())
-	s.hier.EncodeState(w)
-	s.st.EncodeState(w)
-	return w.Bytes(), nil
-}
-
-func encodeRingIndices(w *snap.Writer, r *pipeline.UOpRing, idx map[*pipeline.UOp]int) {
-	n := r.Len()
-	w.Int(n)
-	for i := 0; i < n; i++ {
-		w.Int(idx[r.At(i)])
+	for _, regs := range []*pipeline.RegFile{s.intRegs, s.fpRegs} {
+		free := regs.Free()
+		c.Int(&free)
+		regs.SetFree(free)
 	}
-}
-
-// encodeListIndices writes the non-squashed subset of an execution-side
-// list (squashed entries would be dropped by the list's next lazy scan
-// anyway, so omitting them is behaviour-preserving).
-func encodeListIndices(w *snap.Writer, list []*pipeline.UOp, idx map[*pipeline.UOp]int) {
-	n := 0
-	for _, u := range list {
-		if !u.Squashed {
-			n++
-		}
-	}
-	w.Int(n)
-	for _, u := range list {
-		if !u.Squashed {
-			w.Int(idx[u])
-		}
-	}
+	s.hier.Snap(c)
+	s.st.Snap(c)
 }
 
 // Restore rebuilds the state serialized by Snapshot onto a freshly
@@ -280,31 +310,20 @@ func (s *Sim) Restore(blob []byte) error {
 		s.frontPipe.Len() != 0 || len(s.execList) != 0 {
 		return fmt.Errorf("core: Restore requires a freshly constructed simulator")
 	}
-	r := snap.NewReader(blob)
-	if m := r.U32(); r.Err() == nil && m != snapMagic {
-		return fmt.Errorf("core: not a snapshot (bad magic %#x)", m)
+	c := snap.NewDecoder(blob)
+	get := func() int {
+		var v int
+		c.Int(&v)
+		return v
 	}
-	if v := r.U32(); r.Err() == nil && v != snapVersion {
-		return fmt.Errorf("core: snapshot version %d, this build reads %d", v, snapVersion)
-	}
-	if h := r.U64(); r.Err() == nil && h != s.cfgHash() {
-		return fmt.Errorf("core: snapshot was taken under a different configuration")
-	}
-	if n := r.Int(); r.Err() == nil && n != s.nthreads {
-		return fmt.Errorf("core: snapshot has %d threads, simulator has %d", n, s.nthreads)
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.now = r.U64()
-	s.gseq = r.U64()
+	s.snapHeader(c)
 
 	// Request table: acquire fresh requests from the per-thread pools and
 	// decode content into them. Each starts with the pool's creator
 	// reference; queue pushes take those over below, and stragglers drop
 	// theirs once the pinning uops have re-added their references.
-	nreq := r.Int()
-	if err := r.Err(); err != nil {
+	nreq := get()
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if nreq < 0 || nreq > len(blob) {
@@ -312,34 +331,34 @@ func (s *Sim) Restore(blob []byte) error {
 	}
 	reqs := make([]*ftq.Request, nreq)
 	for i := range reqs {
-		t := r.Int()
-		if err := r.Err(); err != nil {
+		t := get()
+		if err := c.Err(); err != nil {
 			return err
 		}
 		if t < 0 || t >= s.nthreads {
 			return fmt.Errorf("core: request %d has thread %d out of range", i, t)
 		}
 		req := s.fe.Pool(t).Get(t)
-		req.DecodeState(r)
+		req.Snap(c)
 		reqs[i] = req
 	}
 
 	queued := make([]bool, nreq)
-	s.fe.DecodeState(r, func(i int) *ftq.Request {
+	s.fe.Snap(c, nil, func(i int) *ftq.Request {
 		if i < 0 || i >= nreq {
 			return nil
 		}
 		queued[i] = true
 		return reqs[i]
 	})
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return err
 	}
 
 	// Uop table: fresh pool uops, re-linked to their requests through the
 	// ordinary Retain protocol.
-	nuop := r.Int()
-	if err := r.Err(); err != nil {
+	nuop := get()
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if nuop < 0 || nuop > len(blob) {
@@ -348,10 +367,10 @@ func (s *Sim) Restore(blob []byte) error {
 	uops := make([]*pipeline.UOp, nuop)
 	for i := range uops {
 		u := s.allocUOp()
-		u.DecodeState(r)
-		ri := r.Int()
-		slot := r.Int()
-		if err := r.Err(); err != nil {
+		u.Snap(c)
+		ri := get()
+		slot := get()
+		if err := c.Err(); err != nil {
 			return err
 		}
 		if ri >= 0 {
@@ -369,7 +388,7 @@ func (s *Sim) Restore(blob []byte) error {
 		uops[i] = u
 	}
 	uopAt := func(i int) (*pipeline.UOp, error) {
-		if err := r.Err(); err != nil {
+		if err := c.Err(); err != nil {
 			return nil, err
 		}
 		if i < 0 || i >= nuop {
@@ -379,9 +398,9 @@ func (s *Sim) Restore(blob []byte) error {
 	}
 
 	// Containers, in Snapshot's order.
-	nrob := r.Int()
+	nrob := get()
 	for i := 0; i < nrob; i++ {
-		u, err := uopAt(r.Int())
+		u, err := uopAt(get())
 		if err != nil {
 			return err
 		}
@@ -390,9 +409,9 @@ func (s *Sim) Restore(blob []byte) error {
 		}
 	}
 	for k := 0; k < pipeline.NumQueues; k++ {
-		cnt := r.Int()
+		cnt := get()
 		for i := 0; i < cnt; i++ {
-			u, err := uopAt(r.Int())
+			u, err := uopAt(get())
 			if err != nil {
 				return err
 			}
@@ -402,15 +421,15 @@ func (s *Sim) Restore(blob []byte) error {
 		}
 	}
 	for _, ring := range []*pipeline.UOpRing{s.fetchBuf, s.frontPipe} {
-		cnt := r.Int()
-		if err := r.Err(); err != nil {
+		cnt := get()
+		if err := c.Err(); err != nil {
 			return err
 		}
 		if cnt > ring.Cap() {
 			return fmt.Errorf("core: snapshot front-end buffer holds %d uops, capacity %d", cnt, ring.Cap())
 		}
 		for i := 0; i < cnt; i++ {
-			u, err := uopAt(r.Int())
+			u, err := uopAt(get())
 			if err != nil {
 				return err
 			}
@@ -418,9 +437,9 @@ func (s *Sim) Restore(blob []byte) error {
 		}
 	}
 	for _, list := range []*[]*pipeline.UOp{&s.execList, &s.pendingDecode} {
-		cnt := r.Int()
+		cnt := get()
 		for i := 0; i < cnt; i++ {
-			u, err := uopAt(r.Int())
+			u, err := uopAt(get())
 			if err != nil {
 				return err
 			}
@@ -429,8 +448,8 @@ func (s *Sim) Restore(blob []byte) error {
 	}
 	for t := range s.threads {
 		ts := &s.threads[t]
-		cnt := r.Int()
-		if err := r.Err(); err != nil {
+		cnt := get()
+		if err := c.Err(); err != nil {
 			return err
 		}
 		if cnt > 0 && ts.replay == nil {
@@ -443,7 +462,7 @@ func (s *Sim) Restore(blob []byte) error {
 			return fmt.Errorf("core: snapshot replay queue holds %d uops, capacity %d", cnt, cap(ts.replay))
 		}
 		for i := 0; i < cnt; i++ {
-			u, err := uopAt(r.Int())
+			u, err := uopAt(get())
 			if err != nil {
 				return err
 			}
@@ -455,7 +474,7 @@ func (s *Sim) Restore(blob []byte) error {
 	for t := range s.threads {
 		ts := &s.threads[t]
 		for i := range ts.ring {
-			idx := r.Int()
+			idx := get()
 			if idx < 0 {
 				continue
 			}
@@ -475,26 +494,12 @@ func (s *Sim) Restore(blob []byte) error {
 		}
 	}
 
-	for t := range s.threads {
-		ts := &s.threads[t]
-		ts.icount = r.Int()
-		ts.predictStallUntil = r.U64()
-		ts.icacheBlockedUntil = r.U64()
-		ts.brcount = r.Int()
-		ts.dmisses = r.Int()
-		ts.longLoads = r.Int()
-		s.flowBase[t] = r.Int()
-	}
-
-	s.intRegs.SetFree(r.Int())
-	s.fpRegs.SetFree(r.Int())
-	s.hier.DecodeState(r)
-	s.st.DecodeState(r)
-	if err := r.Err(); err != nil {
+	s.snapScalars(c)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("core: %d trailing bytes after snapshot", r.Rest())
+	if c.Rest() != 0 {
+		return fmt.Errorf("core: %d trailing bytes after snapshot", c.Rest())
 	}
 	return nil
 }
@@ -592,58 +597,43 @@ func (s *Sim) Drain(maxCycles uint64) error {
 	return nil
 }
 
-// FastForward functionally executes n committed-path instructions,
-// round-robined across threads: predictors train on true outcomes, caches
-// and TLBs are warmed along the reference stream, but no cycles elapse and
-// no statistics accumulate. The pipeline must be drained first.
-func (s *Sim) FastForward(n uint64) error {
-	if !s.drained() {
-		return fmt.Errorf("core: FastForward requires a drained pipeline (call Drain first)")
-	}
-	for t := 0; t < s.nthreads; t++ {
-		s.fe.BeginFunctional(t)
-	}
-	for i := uint64(0); i < n; i++ {
-		t := int(i % uint64(s.nthreads))
-		in := s.fe.FunctionalAdvance(t)
-		s.hier.WarmInstr(in.PC)
-		if in.Class == isa.Load || in.Class == isa.Store {
-			s.hier.WarmData(in.EffAddr)
-		}
-	}
-	return nil
-}
-
-// FastForwardShares is FastForward with a thread-progress distribution:
-// the n instructions are apportioned across threads proportionally to
-// shares (smooth weighted round-robin, deterministic) instead of strict
-// round-robin. Sampled simulation passes the per-thread commit counts of
-// the preceding detail interval so that policy-induced progress skew —
+// FastForwardShares functionally executes n committed-path instructions:
+// predictors train on true outcomes, caches and TLBs are warmed along the
+// reference stream, but no cycles elapse and no statistics accumulate.
+// The pipeline must be drained first. The n instructions are apportioned
+// across threads proportionally to shares (smooth weighted round-robin,
+// deterministic). Sampled simulation passes the per-thread commit counts
+// of the preceding detail interval so that policy-induced progress skew —
 // the dominant long-timescale effect an equal-progress fast-forward would
 // erase (FLUSH and STALL starve or favor threads for their whole run) —
 // keeps accumulating across the functional gaps. An all-zero shares
-// vector falls back to strict round-robin.
+// vector counts as all-equal, which visits threads 0, 1, …, N−1 in turn.
 func (s *Sim) FastForwardShares(n uint64, shares []uint64) error {
 	if len(shares) != s.nthreads {
 		return fmt.Errorf("core: FastForwardShares wants %d shares, got %d", s.nthreads, len(shares))
+	}
+	if !s.drained() {
+		return fmt.Errorf("core: FastForwardShares requires a drained pipeline (call Drain first)")
 	}
 	var total int64
 	for _, w := range shares {
 		total += int64(w)
 	}
 	if total == 0 {
-		return s.FastForward(n)
-	}
-	if !s.drained() {
-		return fmt.Errorf("core: FastForwardShares requires a drained pipeline (call Drain first)")
+		shares = make([]uint64, s.nthreads)
+		for t := range shares {
+			shares[t] = 1
+		}
+		total = int64(s.nthreads)
 	}
 	for t := 0; t < s.nthreads; t++ {
 		s.fe.BeginFunctional(t)
 	}
 	// Smooth weighted round-robin: each slot goes to the thread with the
-	// highest accumulated credit, interleaving threads at their share
-	// ratio (so cache/TLB warming sees a representative reference mix,
-	// not one thread's burst followed by another's).
+	// highest accumulated credit (the lowest-numbered one on a tie),
+	// interleaving threads at their share ratio (so cache/TLB warming
+	// sees a representative reference mix, not one thread's burst
+	// followed by another's).
 	credit := make([]int64, s.nthreads)
 	for i := uint64(0); i < n; i++ {
 		best := 0

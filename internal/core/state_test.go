@@ -238,12 +238,18 @@ func TestSetPolicyForksDeterministically(t *testing.T) {
 // TestDrainFastForwardDeterministic covers the sampled-simulation
 // machinery: drain empties the pipeline completely, functional
 // fast-forward advances the committed trace without cycles or statistics,
-// and the detail/skip alternation is deterministic across runs.
+// and the detail/skip alternation is deterministic across runs. The first
+// two runs pass all-zero shares and the third equal nonzero ones, which
+// must visit the threads in the same round-robin order.
 func TestDrainFastForwardDeterministic(t *testing.T) {
 	for _, eng := range []config.Engine{config.GShareBTB, config.StreamFetch} {
 		var snaps [][]byte
-		for rep := 0; rep < 2; rep++ {
+		for _, share := range []uint64{0, 0, 3} {
 			s := newSnapSim(t, eng, config.Default().FetchPolicy, 0xABCD)
+			shares := make([]uint64, s.nthreads)
+			for i := range shares {
+				shares[i] = share
+			}
 			for phase := 0; phase < 3; phase++ {
 				s.RunCycles(5_000)
 				if err := s.Drain(1_000_000); err != nil {
@@ -256,7 +262,7 @@ func TestDrainFastForwardDeterministic(t *testing.T) {
 					t.Fatalf("%v: drained pipeline still references uops", eng)
 				}
 				cyclesBefore, committedBefore := s.Cycles(), s.Stats().Committed
-				if err := s.FastForward(40_000); err != nil {
+				if err := s.FastForwardShares(40_000, shares); err != nil {
 					t.Fatalf("%v: fast-forward: %v", eng, err)
 				}
 				if s.Cycles() != cyclesBefore || s.Stats().Committed != committedBefore {
@@ -273,6 +279,9 @@ func TestDrainFastForwardDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(snaps[0], snaps[1]) {
 			t.Fatalf("%v: drain/fast-forward sequence is not deterministic", eng)
+		}
+		if !bytes.Equal(snaps[0], snaps[2]) {
+			t.Fatalf("%v: all-zero shares differ from equal shares", eng)
 		}
 	}
 }

@@ -7,9 +7,9 @@ package fetch
 // requests are pinned by in-flight uops); this file serializes the shared
 // predictor tables plus per-thread speculative state, with FTQ contents
 // written as indices into the core's table. On restore the core acquires
-// fresh requests from the per-thread pools first, then calls DecodeState
-// with a lookup over them, so queue pushes re-establish references through
-// the ordinary protocol.
+// fresh requests from the per-thread pools first, then calls Snap with a
+// lookup over them, so queue pushes re-establish references through the
+// ordinary protocol.
 //
 // All snapshot code here is cold-path, outside the cycle loop.
 
@@ -27,88 +27,52 @@ import (
 // tests).
 func (f *FrontEnd) Pool(t int) *ftq.Pool { return f.threads[t].pool }
 
-// EncodeState serializes the front-end's dynamic state. reqIndex maps a
-// queued request to its position in the core's request table.
-func (f *FrontEnd) EncodeState(w *snap.Writer, reqIndex func(*ftq.Request) int) {
+// Snap codes the front-end's dynamic state. Requests in the FTQs are
+// coded as positions in the core's request table: encoding maps each with
+// index, decoding resolves each with lookup to a live request the core
+// pre-acquired. A decoding receiver is a freshly constructed front-end of
+// identical configuration.
+func (f *FrontEnd) Snap(c *snap.Codec, index func(*ftq.Request) int, lookup func(int) *ftq.Request) {
 	switch f.engine {
 	case config.GShareBTB:
-		f.gshare.EncodeState(w)
-		f.btb.EncodeState(w)
+		f.gshare.Snap(c)
+		f.btb.Snap(c)
 	case config.GSkewFTB:
-		f.gskew.EncodeState(w)
-		f.ftb.EncodeState(w)
+		f.gskew.Snap(c)
+		f.ftb.Snap(c)
 	default:
-		f.stream.EncodeState(w)
+		f.stream.Snap(c)
 	}
-	w.U64(f.Predictions)
-	w.Int(len(f.threads))
+	c.U64(&f.Predictions)
+	if !c.Table(len(f.threads), "fetch: thread table") {
+		return
+	}
 	for _, tf := range f.threads {
-		w.Bool(tf.wrongPath)
-		w.U64(uint64(tf.nextPC))
-		w.U64(tf.ghr)
-		tf.ras.EncodeState(w)
-		tf.path.EncodeValue(w)
+		c.Bool(&tf.wrongPath)
+		snap.U64(c, &tf.nextPC)
+		c.U64(&tf.ghr)
+		tf.ras.Snap(c)
+		tf.path.Snap(c)
 		st := tf.seedR.State()
-		for _, v := range st {
-			w.U64(v)
-		}
-		tf.trace.EncodeState(w)
-		w.Bool(tf.ghost != nil)
-		if tf.ghost != nil {
-			tf.ghost.EncodeState(w)
-		}
-		tf.queue.EncodeState(w, reqIndex)
-	}
-}
-
-// DecodeState restores state written with EncodeState onto a freshly
-// constructed front-end of identical configuration. reqLookup resolves
-// request-table indices to the live requests the core pre-acquired.
-func (f *FrontEnd) DecodeState(r *snap.Reader, reqLookup func(int) *ftq.Request) {
-	switch f.engine {
-	case config.GShareBTB:
-		f.gshare.DecodeState(r)
-		f.btb.DecodeState(r)
-	case config.GSkewFTB:
-		f.gskew.DecodeState(r)
-		f.ftb.DecodeState(r)
-	default:
-		f.stream.DecodeState(r)
-	}
-	f.Predictions = r.U64()
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n != len(f.threads) {
-		r.Fail("fetch: snapshot has %d threads, front-end has %d", n, len(f.threads))
-		return
-	}
-	for _, tf := range f.threads {
-		tf.wrongPath = r.Bool()
-		tf.nextPC = isa.Addr(r.U64())
-		tf.ghr = r.U64()
-		tf.ras.DecodeState(r)
-		tf.path = bpred.DecodePathHistory(r)
-		var st [4]uint64
 		for i := range st {
-			st[i] = r.U64()
+			c.U64(&st[i])
 		}
 		tf.seedR.SetState(st)
-		tf.trace.DecodeState(r)
-		hasGhost := r.Bool()
-		if r.Err() != nil {
+		tf.trace.Snap(c)
+		hasGhost := tf.ghost != nil
+		c.Bool(&hasGhost)
+		if c.Err() != nil {
 			return
 		}
-		if hasGhost {
-			if tf.ghost == nil {
+		if !hasGhost {
+			tf.ghost = nil
+		} else {
+			if tf.ghost == nil { // decoding: the ghost walk is created here
 				tf.ghost = tf.prog.NewStreamAt(0, tf.prog.Entry())
 			}
-			tf.ghost.DecodeState(r)
-		} else {
-			tf.ghost = nil
+			tf.ghost.Snap(c)
 		}
-		tf.queue.DecodeState(r, reqLookup)
+		tf.queue.Snap(c, index, lookup)
 	}
 }
 

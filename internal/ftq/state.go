@@ -9,87 +9,49 @@ package ftq
 //
 // Cold-path code, outside the cycle loop.
 
-import (
-	"smtfetch/internal/bpred"
-	"smtfetch/internal/isa"
-	"smtfetch/internal/snap"
-)
+import "smtfetch/internal/snap"
 
-func encodeBranchInfo(w *snap.Writer, bi *BranchInfo) {
-	w.Bool(bi.PredTaken)
-	w.U64(uint64(bi.PredTarget))
-	w.U8(uint8(bi.Resolve))
-	w.U64(bi.GHR)
-	bi.RASCp.EncodeValue(w)
-	bi.PathCp.EncodeValue(w)
-	w.U64(uint64(bi.BlockStart))
-	w.Int(bi.BlockInstrs)
-	w.Bool(bi.StreamPredicted)
-	w.Bool(bi.UsedRAS)
+func snapBranchInfo(c *snap.Codec, bi *BranchInfo) {
+	c.Bool(&bi.PredTaken)
+	snap.U64(c, &bi.PredTarget)
+	snap.U8(c, &bi.Resolve)
+	c.U64(&bi.GHR)
+	bi.RASCp.Snap(c)
+	bi.PathCp.Snap(c)
+	snap.U64(c, &bi.BlockStart)
+	c.Int(&bi.BlockInstrs)
+	c.Bool(&bi.StreamPredicted)
+	c.Bool(&bi.UsedRAS)
 }
 
-func decodeBranchInfo(r *snap.Reader, bi *BranchInfo) {
-	bi.PredTaken = r.Bool()
-	bi.PredTarget = isa.Addr(r.U64())
-	bi.Resolve = ResolveStage(r.U8())
-	bi.GHR = r.U64()
-	bi.RASCp = bpred.DecodeRASCheckpoint(r)
-	bi.PathCp = bpred.DecodePathHistory(r)
-	bi.BlockStart = isa.Addr(r.U64())
-	bi.BlockInstrs = r.Int()
-	bi.StreamPredicted = r.Bool()
-	bi.UsedRAS = r.Bool()
-}
-
-// EncodeState serializes the request's content (instructions, branch
-// metadata, consumption cursor). Pool bookkeeping is excluded.
-func (r *Request) EncodeState(w *snap.Writer) {
-	w.Int(r.Thread)
-	w.U64(uint64(r.Start))
-	w.Bool(r.WrongPath)
-	w.Int(r.Consumed)
-	w.Int(r.n)
-	for i := 0; i < r.n; i++ {
-		r.instrs[i].EncodeState(w)
-		w.U8(r.brIdx[i])
-	}
-	w.Int(r.nbr)
-	for i := 0; i < r.nbr; i++ {
-		encodeBranchInfo(w, &r.branches[i])
-	}
-}
-
-// DecodeState restores content written with EncodeState into a request
-// freshly acquired from a pool (Pool.Get).
-func (r *Request) DecodeState(rd *snap.Reader) {
-	r.Thread = rd.Int()
-	r.Start = isa.Addr(rd.U64())
-	r.WrongPath = rd.Bool()
-	r.Consumed = rd.Int()
-	n := rd.Int()
-	if rd.Err() != nil {
-		return
-	}
+// Snap codes the request's content (instructions, branch metadata,
+// consumption cursor); pool bookkeeping is excluded. Decoding fills a
+// request freshly acquired from a pool (Pool.Get).
+func (r *Request) Snap(c *snap.Codec) {
+	c.Int(&r.Thread)
+	snap.U64(c, &r.Start)
+	c.Bool(&r.WrongPath)
+	c.Int(&r.Consumed)
+	n := r.n
+	c.Int(&n)
 	if n < 0 || n > MaxInstrs {
-		rd.Fail("ftq: request length %d out of range", n)
+		c.Fail("ftq: request length %d out of range", n)
 		return
 	}
 	r.n = n
 	for i := 0; i < r.n; i++ {
-		r.instrs[i].DecodeState(rd)
-		r.brIdx[i] = rd.U8()
+		r.instrs[i].Snap(c)
+		c.U8(&r.brIdx[i])
 	}
-	nbr := rd.Int()
-	if rd.Err() != nil {
-		return
-	}
+	nbr := r.nbr
+	c.Int(&nbr)
 	if nbr < 0 || nbr > maxBranches {
-		rd.Fail("ftq: branch count %d out of range", nbr)
+		c.Fail("ftq: branch count %d out of range", nbr)
 		return
 	}
 	r.nbr = nbr
 	for i := 0; i < r.nbr; i++ {
-		decodeBranchInfo(rd, &r.branches[i])
+		snapBranchInfo(c, &r.branches[i])
 	}
 }
 
@@ -105,39 +67,41 @@ func (r *Request) BranchSlot(bi *BranchInfo) int {
 	return -1
 }
 
-// EncodeState serializes the queue as request indices oldest-first; index
-// maps each queued request to its position in the snapshot's request
-// table.
-func (q *Queue) EncodeState(w *snap.Writer, index func(*Request) int) {
-	w.Int(q.n)
-	q.Each(func(r *Request) { w.Int(index(r)) })
-}
-
-// DecodeState restores the queue from indices written with EncodeState,
-// pushing the requests returned by lookup (taking over one reference
-// each, exactly as the prediction stage's Push does). The receiver must be
-// empty.
-func (q *Queue) DecodeState(rd *snap.Reader, lookup func(int) *Request) {
-	n := rd.Int()
-	if rd.Err() != nil {
+// Snap codes the queue as request indices oldest-first, positions in the
+// snapshot's request table. Encoding maps each queued request to its
+// index with index; decoding pushes the requests lookup returns (taking
+// over one reference each, exactly as the prediction stage's Push does)
+// onto the receiver, which must be empty.
+func (q *Queue) Snap(c *snap.Codec, index func(*Request) int, lookup func(int) *Request) {
+	n := q.n
+	c.Int(&n)
+	if !c.Decoding() {
+		q.Each(func(r *Request) {
+			i := index(r)
+			c.Int(&i)
+		})
+		return
+	}
+	if c.Err() != nil {
 		return
 	}
 	if n < 0 || n > q.Cap() {
-		rd.Fail("ftq: queue length %d exceeds capacity %d", n, q.Cap())
+		c.Fail("ftq: queue length %d exceeds capacity %d", n, q.Cap())
 		return
 	}
-	for i := 0; i < n; i++ {
-		idx := rd.Int()
-		if rd.Err() != nil {
+	for range n {
+		var i int
+		c.Int(&i)
+		if c.Err() != nil {
 			return
 		}
-		r := lookup(idx)
+		r := lookup(i)
 		if r == nil {
-			rd.Fail("ftq: queue references unknown request %d", idx)
+			c.Fail("ftq: queue references unknown request %d", i)
 			return
 		}
 		if !q.Push(r) {
-			rd.Fail("ftq: queue overflow during restore")
+			c.Fail("ftq: queue overflow during restore")
 			return
 		}
 	}

@@ -6,32 +6,17 @@ package isa
 
 import "smtfetch/internal/snap"
 
-// EncodeState serializes the instruction.
-func (in *Instruction) EncodeState(w *snap.Writer) {
-	w.U64(uint64(in.PC))
-	w.U64(in.PathSeq)
-	w.U8(uint8(in.Class))
-	w.U16(in.Dep1)
-	w.U16(in.Dep2)
-	w.Bool(in.HasDest)
-	w.U64(uint64(in.EffAddr))
-	w.U8(uint8(in.BrKind))
-	w.Bool(in.Taken)
-	w.U64(uint64(in.Target))
-	w.U64(uint64(in.FallThrough))
-}
-
-// DecodeState restores an instruction written with EncodeState.
-func (in *Instruction) DecodeState(r *snap.Reader) {
-	in.PC = Addr(r.U64())
-	in.PathSeq = r.U64()
-	in.Class = Class(r.U8())
-	in.Dep1 = r.U16()
-	in.Dep2 = r.U16()
-	in.HasDest = r.Bool()
-	in.EffAddr = Addr(r.U64())
-	in.BrKind = BranchKind(r.U8())
-	in.Taken = r.Bool()
-	in.Target = Addr(r.U64())
-	in.FallThrough = Addr(r.U64())
+// Snap codes the instruction in either direction.
+func (in *Instruction) Snap(c *snap.Codec) {
+	snap.U64(c, &in.PC)
+	c.U64(&in.PathSeq)
+	snap.U8(c, &in.Class)
+	c.U16(&in.Dep1)
+	c.U16(&in.Dep2)
+	c.Bool(&in.HasDest)
+	snap.U64(c, &in.EffAddr)
+	snap.U8(c, &in.BrKind)
+	c.Bool(&in.Taken)
+	snap.U64(c, &in.Target)
+	snap.U64(c, &in.FallThrough)
 }

@@ -17,14 +17,17 @@ var StateCov = &analysis.Analyzer{
 	Name: "statecov",
 	Doc: "prove every snapshot-struct field is serialized in both directions\n\n" +
 		"In the snapshot packages (core, cache, fetch, bpred, pipeline, ftq,\n" +
-		"prog, isa, stats, rng), a struct with both an encode- and a\n" +
-		"decode-path method — or one of the known inline-serialized structs —\n" +
-		"is snapshot state. Each of its fields must be referenced inside the\n" +
-		"package's snapshot-write closure (EncodeState/Snapshot/State and\n" +
-		"their same-package callees) AND its restore-read closure\n" +
-		"(DecodeState/Restore/SetState), or be annotated\n" +
-		"//smtfetch:transient <why>. Written-but-never-restored and\n" +
-		"restored-but-never-written asymmetries are errors too.",
+		"prog, isa, stats, rng), a struct with a two-way Snap method (one\n" +
+		"snap.Codec method that both writes and restores it), or with both a\n" +
+		"write-path (Snapshot/State) and a read-path (Restore/SetState)\n" +
+		"method, or one of the known inline-serialized structs, is snapshot\n" +
+		"state. Each of its fields must be referenced inside the package's\n" +
+		"snapshot-write closure (Snap/Snapshot/State and their same-package\n" +
+		"callees) AND its restore-read closure (Snap/Restore/SetState and\n" +
+		"theirs), or be annotated //smtfetch:transient <why>. A Snap method\n" +
+		"is in both closures, so it covers a field in both directions at\n" +
+		"once; written-but-never-restored and restored-but-never-written\n" +
+		"asymmetries in the one-way roots are errors too.",
 	Run: runStateCov,
 }
 
@@ -60,7 +63,7 @@ func runStateCov(pass *analysis.Pass) (interface{}, error) {
 			w, r := written[named][i], restored[named][i]
 			switch {
 			case !w && !r:
-				pass.Reportf(f.Pos(), "field %s.%s is in neither the snapshot-write nor the restore-read path: serialize it in EncodeState/DecodeState (or Snapshot/Restore) or annotate it %s%s <why it is not state>",
+				pass.Reportf(f.Pos(), "field %s.%s is in neither the snapshot-write nor the restore-read path: code it in its type's Snap method (or Snapshot/Restore) or annotate it %s%s <why it is not state>",
 					named.Obj().Name(), f.Name(), directivePrefix, dirTransient)
 			case w && !r:
 				pass.Reportf(f.Pos(), "field %s.%s is written by the snapshot path but never restored: a restored simulator silently diverges from the original; decode it or annotate it %s%s <why>",

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/types/typeutil"
@@ -32,34 +31,35 @@ var snapshotPackages = map[string]bool{
 
 // snapshotExtras names snapshot structs that cannot be auto-discovered
 // from their method sets: their fields are serialized inline by another
-// function of the package (threadState and threadFE by Sim.Snapshot and
-// FrontEnd.EncodeState respectively) or decoded by a free function
-// (bpred's value codecs).
+// function of the package (threadState by Sim.Snapshot/Restore, threadFE
+// by FrontEnd.Snap).
 var snapshotExtras = map[string][]string{
 	"smtfetch/internal/core":  {"threadState"},
 	"smtfetch/internal/fetch": {"threadFE"},
-	"smtfetch/internal/bpred": {"RASCheckpoint", "PathHistory"},
 }
 
 // snapRootKind classifies a function of a snapshot package as part of the
-// snapshot-write path, the restore-read path, or neither, by name:
-// Encode*/Snapshot/State write the stream, Decode*/Restore/SetState read
-// it. The same classification drives struct auto-discovery (a struct with
-// both a write and a read method is snapshot state).
+// snapshot-write path, the restore-read path, or both, by name: a Snap
+// method codes its receiver in both directions (one snap.Codec method
+// per type, see internal/snap), Snapshot/State write the stream, and
+// Restore/SetState read it. The same classification drives struct
+// auto-discovery (a struct with a write and a read method, or a Snap
+// method, is snapshot state).
 func snapRootKind(name string) (write, read bool) {
-	lower := strings.ToLower(name)
-	switch {
-	case strings.HasPrefix(lower, "encode"), name == "Snapshot", name == "State":
+	switch name {
+	case "Snap", "snap":
+		return true, true
+	case "Snapshot", "State":
 		return true, false
-	case strings.HasPrefix(lower, "decode"), name == "Restore", name == "SetState":
+	case "Restore", "SetState":
 		return false, true
 	}
 	return false, false
 }
 
 // snapStructs returns the snapshot structs of the analyzed package: named
-// struct types with both a write- and a read-path method (EncodeState +
-// DecodeState and spelling variants), plus the snapshotExtras entries.
+// struct types with both a write- and a read-path method (a two-way Snap
+// method is both), plus the snapshotExtras entries.
 // Structs declared in test files are skipped.
 func snapStructs(pass *analysis.Pass) map[*types.Named]*types.Struct {
 	out := make(map[*types.Named]*types.Struct)

@@ -1,7 +1,33 @@
 // Package core is a fixture stand-in for the real core package: its
 // import path puts it in the snapshot set, so statecov audits every
-// struct with both an encode- and a decode-path method.
+// struct with both a write- and a read-path method, or a two-way Snap
+// method.
 package core
+
+// Codec stands in for snap.Codec: one value both writes and restores.
+type Codec struct{}
+
+// Int codes one int in either direction.
+func (c *Codec) Int(p *int) {}
+
+// Table is snapshot state through its two-way Snap method alone: a field
+// the method codes is covered in both directions, one it leaves out is
+// reported.
+type Table struct {
+	covered int
+	nested  int
+	missing int // want "neither the snapshot-write nor the restore-read path"
+	//smtfetch:transient geometry, fixed at construction
+	size int
+}
+
+// Snap codes covered directly and nested through an unexported helper.
+func (t *Table) Snap(c *Codec) {
+	c.Int(&t.covered)
+	t.snapNested(c)
+}
+
+func (t *Table) snapNested(c *Codec) { c.Int(&t.nested) }
 
 // Machine is snapshot state: it has both a write- and a read-path method.
 type Machine struct {
@@ -13,16 +39,20 @@ type Machine struct {
 	scratch []int
 }
 
-// Snapshot covers good through a helper on the write closure.
-func (m *Machine) Snapshot() {
+// Snapshot covers good through a helper on the write closure, and the
+// thread states through encodeThreads.
+func (m *Machine) Snapshot(ts []threadState) {
 	m.encodeCore()
 	_ = m.writeOnly
+	encodeThreads(ts)
 }
 
-// Restore covers good directly on the read path.
-func (m *Machine) Restore() {
+// Restore covers good directly on the read path, and the thread states
+// through decodeThreads.
+func (m *Machine) Restore(ts []threadState) {
 	m.good = 0
 	_ = m.readOnly
+	decodeThreads(ts)
 }
 
 func (m *Machine) encodeCore() { _ = m.good }
@@ -53,8 +83,6 @@ type scratchPad struct {
 }
 
 // use keeps the fixture free of genuinely dead code paths.
-func use(p *scratchPad, ts []threadState) {
-	encodeThreads(ts)
-	decodeThreads(ts)
+func use(p *scratchPad) {
 	_ = p.buf
 }

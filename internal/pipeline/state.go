@@ -11,52 +11,30 @@ import "smtfetch/internal/snap"
 // cycle, so a restored simulator observes identical behaviour with a
 // zeroed pool.
 
-// EncodeState serializes the uop by value. Info and Req are re-linked by
-// table index by the core's snapshot section, and Squashed uops are
-// canonicalized out of the stream entirely, so neither appears here.
-func (u *UOp) EncodeState(w *snap.Writer) {
-	u.Instruction.EncodeState(w)
-	w.Int(u.Thread)
-	w.Bool(u.Ghost)
-	w.U64(u.GSeq)
-	w.U16(u.SavedDep1)
-	w.U16(u.SavedDep2)
-	w.U64(u.FetchedAt)
-	w.U64(u.EnterFront)
-	w.U64(u.DecodeAt)
-	w.Bool(u.Dispatched)
-	w.Bool(u.Issued)
-	w.Bool(u.Done)
-	w.U64(u.ReadyAt)
-	w.Bool(u.InICount)
-	w.Bool(u.InBRCount)
-	w.Bool(u.DMiss)
-	w.Bool(u.LongMiss)
-	w.Bool(u.Flushed)
-	w.Bool(u.Recovered)
-}
-
-// DecodeState mirrors EncodeState onto a freshly allocated uop.
-func (u *UOp) DecodeState(r *snap.Reader) {
-	u.Instruction.DecodeState(r)
-	u.Thread = r.Int()
-	u.Ghost = r.Bool()
-	u.GSeq = r.U64()
-	u.SavedDep1 = r.U16()
-	u.SavedDep2 = r.U16()
-	u.FetchedAt = r.U64()
-	u.EnterFront = r.U64()
-	u.DecodeAt = r.U64()
-	u.Dispatched = r.Bool()
-	u.Issued = r.Bool()
-	u.Done = r.Bool()
-	u.ReadyAt = r.U64()
-	u.InICount = r.Bool()
-	u.InBRCount = r.Bool()
-	u.DMiss = r.Bool()
-	u.LongMiss = r.Bool()
-	u.Flushed = r.Bool()
-	u.Recovered = r.Bool()
+// Snap codes the uop by value; decoding fills a freshly allocated uop.
+// Info and Req are re-linked by table index by the core's snapshot
+// section, and Squashed uops are canonicalized out of the stream
+// entirely, so neither appears here.
+func (u *UOp) Snap(c *snap.Codec) {
+	u.Instruction.Snap(c)
+	c.Int(&u.Thread)
+	c.Bool(&u.Ghost)
+	c.U64(&u.GSeq)
+	c.U16(&u.SavedDep1)
+	c.U16(&u.SavedDep2)
+	c.U64(&u.FetchedAt)
+	c.U64(&u.EnterFront)
+	c.U64(&u.DecodeAt)
+	c.Bool(&u.Dispatched)
+	c.Bool(&u.Issued)
+	c.Bool(&u.Done)
+	c.U64(&u.ReadyAt)
+	c.Bool(&u.InICount)
+	c.Bool(&u.InBRCount)
+	c.Bool(&u.DMiss)
+	c.Bool(&u.LongMiss)
+	c.Bool(&u.Flushed)
+	c.Bool(&u.Recovered)
 }
 
 // SetFree overwrites the free-register counter (snapshot restore only).

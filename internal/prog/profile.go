@@ -92,39 +92,41 @@ type Profile struct {
 // Validate clamps and sanity-checks profile parameters, returning a usable
 // copy. It keeps example code robust against hand-built profiles.
 func (p Profile) Validate() Profile {
+	// Every lower bound is written !(v >= lo), so a NaN, which fails
+	// every comparison, takes the bound or the default too.
 	clamp01 := func(v *float64) {
-		if *v < 0 {
+		if !(*v >= 0) {
 			*v = 0
 		}
 		if *v > 1 {
 			*v = 1
 		}
 	}
-	if p.AvgBBSize < 2 {
+	if !(p.AvgBBSize >= 2) {
 		p.AvgBBSize = 2
 	}
-	if p.StaticBlocks < 16 {
+	if !(p.StaticBlocks >= 16) {
 		p.StaticBlocks = 16
 	}
 	if p.StaticBlocks > MaxStaticBlocks {
 		p.StaticBlocks = MaxStaticBlocks
 	}
-	if p.LocalityWindow < 1 {
+	if !(p.LocalityWindow >= 1) {
 		p.LocalityWindow = 1
 	}
-	if p.MeanTripCount < 2 {
+	if !(p.MeanTripCount >= 2) {
 		p.MeanTripCount = 2
 	}
-	if p.MeanDepDist < 1 {
+	if !(p.MeanDepDist >= 1) {
 		p.MeanDepDist = 1
 	}
-	if p.HotBytes < 4096 {
+	if !(p.HotBytes >= 4096) {
 		p.HotBytes = 4096
 	}
-	if p.ColdBytes < 4096 {
+	if !(p.ColdBytes >= 4096) {
 		p.ColdBytes = 4096
 	}
-	if p.HotFraction <= 0 || p.HotFraction > 1 {
+	if !(p.HotFraction > 0 && p.HotFraction <= 1) {
 		p.HotFraction = 0.2
 	}
 	clamp01(&p.HotWeight)

@@ -193,13 +193,40 @@ func TestValidateClampsStaticBlocks(t *testing.T) {
 	}
 }
 
-// TestBuildNaNFractions: Validate lets NaN fractions through, and Build
-// must still size its arenas and build the program.
+// TestBuildNaNFractions: Build validates NaN fractions away, sizes its
+// arenas and builds the program.
 func TestBuildNaNFractions(t *testing.T) {
 	nan := math.NaN()
 	p := prog.Build(prog.Profile{Name: "nan", StaticBlocks: 64, LoadFrac: nan, IndirectFrac: nan}, 1)
 	if p.NumBlocks() != 64 {
 		t.Errorf("%d blocks, want 64", p.NumBlocks())
+	}
+}
+
+// TestValidateRejectsNaN: a NaN in any float field of a profile
+// validates to a number. A NaN fails every comparison, so a clamp written
+// as v < lo lets it through, and a NaN LoadFrac would build a program
+// with no loads, stores, multiplies or FP ops.
+func TestValidateRejectsNaN(t *testing.T) {
+	base := bench.MustProfile("gcc")
+	typ := reflect.TypeOf(base)
+	floats := 0
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		floats++
+		p := base
+		reflect.ValueOf(&p).Elem().Field(i).SetFloat(math.NaN())
+		v := reflect.ValueOf(p.Validate())
+		for j := 0; j < typ.NumField(); j++ {
+			if f := v.Field(j); f.Kind() == reflect.Float64 && math.IsNaN(f.Float()) {
+				t.Errorf("%s = NaN validates to %s = NaN", typ.Field(i).Name, typ.Field(j).Name)
+			}
+		}
+	}
+	if floats < 20 {
+		t.Fatalf("found %d float fields in Profile, want at least 20", floats)
 	}
 }
 

@@ -1,229 +1,243 @@
 // Package snap implements the tiny binary codec used by warm-state
-// checkpoints. It is deliberately minimal: a little-endian, in-memory,
-// append-only Writer and a sticky-error Reader, with no reflection and no
-// I/O. Every simulator component that participates in Snapshot/Restore
-// encodes its dynamic state through these two types, so the byte layout
-// of a checkpoint is exactly the concatenation of the components'
-// hand-written encoders — deterministic by construction.
+// checkpoints: little-endian, in memory, with no reflection and no I/O.
 //
-// Snapshot encoding is cold-path code: it runs once per warm-up group,
-// never inside the cycle loop, so allocation here is fine.
+// A Codec runs in one of two directions. An encoder appends to a buffer;
+// a decoder reads a stream with a sticky error. Every primitive takes a
+// pointer: encoding reads the value through it, decoding writes the value
+// through it. So each snapshot type states its fields once, in one Snap
+// method that both writes and restores them, and the byte layout of a
+// checkpoint is exactly the sequence of those calls — deterministic by
+// construction, and the two directions cannot drift apart. Decode-side
+// checks (table geometry, index ranges, implausible lengths) sit in the
+// same method; the values they test are always valid when encoding.
+//
+// After the first decode error every primitive is a no-op that leaves its
+// target unchanged, so a caller can code a whole structure and check Err
+// once; code that indexes by a decoded value checks it first.
+//
+// Snapshot coding is cold-path code: it runs once per warm-up group, never
+// inside the cycle loop, so allocation here is fine.
 package snap
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+)
 
-// Writer accumulates a snapshot byte stream.
-type Writer struct {
+// Codec is one direction of a snapshot stream: an encoder (NewEncoder) or
+// a decoder (NewDecoder).
+type Codec struct {
 	buf []byte
+	off int // read position when decoding
+	dec bool
+	err error
 }
 
-// Bytes returns the accumulated stream. The slice aliases the writer's
-// buffer; callers must not append to the writer afterwards.
-func (w *Writer) Bytes() []byte { return w.buf }
+// NewEncoder returns a codec that appends what its primitives read.
+func NewEncoder() *Codec { return &Codec{} }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// NewDecoder returns a codec that reads data into its primitives' targets.
+func NewDecoder(data []byte) *Codec { return &Codec{buf: data, dec: true} }
 
-// U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	w.buf = append(w.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+// Decoding reports whether c restores state rather than writing it.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Bytes returns the encoded stream. The slice aliases the encoder's
+// buffer; callers must not code anything afterwards.
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// Err returns the first error, or nil.
+func (c *Codec) Err() error { return c.err }
+
+// Rest returns the number of unread bytes of a decoder's stream.
+func (c *Codec) Rest() int {
+	if !c.dec {
+		return 0
+	}
+	return len(c.buf) - c.off
 }
 
-// U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// U16 appends a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = append(w.buf, byte(v), byte(v>>8)) }
-
-// U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// Int appends an int as a sign-extended uint64.
-func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
-
-// Bool appends a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+// Fail records an error (a semantic validation failure) so the
+// sticky-error contract covers it too. The first error wins.
+func (c *Codec) Fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
 }
 
-// Bytes8 appends a length-prefixed byte slice.
-func (w *Writer) Bytes8(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// String appends a length-prefixed UTF-8 string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// U64s appends a length-prefixed []uint64.
-func (w *Writer) U64s(vs []uint64) {
-	w.U64(uint64(len(vs)))
-	for _, v := range vs {
-		w.U64(v)
-	}
-}
-
-// Bools appends a length-prefixed []bool.
-func (w *Writer) Bools(vs []bool) {
-	w.U64(uint64(len(vs)))
-	for _, v := range vs {
-		w.Bool(v)
-	}
-}
-
-// Reader decodes a snapshot byte stream produced by Writer. Errors are
-// sticky: after the first decode failure every subsequent call returns
-// zero values, so callers can decode a whole structure and check Err once.
-type Reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-// NewReader returns a reader over data.
-func NewReader(data []byte) *Reader { return &Reader{data: data} }
-
-// Err returns the first decode error, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// Rest returns the number of unread bytes.
-func (r *Reader) Rest() int { return len(r.data) - r.off }
-
-// Fail records an external decode error (e.g. a semantic validation
-// failure) so the sticky-error contract covers it too.
-func (r *Reader) Fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+// next returns the next n bytes of a decoder's stream, or nil after an
+// error.
+func (c *Codec) next(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if len(r.data)-r.off < n {
-		r.err = fmt.Errorf("snap: truncated stream: need %d bytes at offset %d, have %d", n, r.off, len(r.data)-r.off)
+	if len(c.buf)-c.off < n {
+		c.err = fmt.Errorf("snap: truncated stream: need %d bytes at offset %d, have %d", n, c.off, len(c.buf)-c.off)
 		return nil
 	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+// U64 codes a uint64 in eight bytes.
+func (c *Codec) U64(p *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+	} else if b := c.next(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
 	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+// U32 codes a uint32 in four bytes.
+func (c *Codec) U32(p *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
+	} else if b := c.next(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+// U16 codes a uint16 in two bytes.
+func (c *Codec) U16(p *uint16) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *p)
+	} else if b := c.next(2); b != nil {
+		*p = binary.LittleEndian.Uint16(b)
 	}
-	return uint16(b[0]) | uint16(b[1])<<8
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+// U8 codes one byte.
+func (c *Codec) U8(p *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *p)
+	} else if b := c.next(1); b != nil {
+		*p = b[0]
 	}
-	return b[0]
 }
 
-// Int reads an int written with Writer.Int.
-func (r *Reader) Int() int { return int(int64(r.U64())) }
-
-// Bool reads a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// Bytes8 reads a length-prefixed byte slice (copied out of the stream).
-func (r *Reader) Bytes8() []byte {
-	n := r.len()
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+// Int codes an int as a sign-extended uint64.
+func (c *Codec) Int(p *int) {
+	v := uint64(*p)
+	c.U64(&v)
+	*p = int(v)
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.len()
-	b := r.take(n)
-	if b == nil {
-		return ""
+// Bool codes a bool as one byte; any nonzero byte decodes as true.
+func (c *Codec) Bool(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
 	}
-	return string(b)
+	c.U8(&v)
+	*p = v != 0
 }
 
-// U64s reads a length-prefixed []uint64.
-func (r *Reader) U64s() []uint64 {
-	n := r.len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
-	}
-	return out
+// U8 codes a value of any byte-sized named type (kinds, classes,
+// counters) in one byte.
+func U8[T ~uint8](c *Codec, p *T) {
+	v := uint8(*p)
+	c.U8(&v)
+	*p = T(v)
 }
 
-// Bools reads a length-prefixed []bool.
-func (r *Reader) Bools() []bool {
-	n := r.len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.Bool()
-	}
-	return out
+// U64 codes a value of any uint64-based named type (addresses) in eight
+// bytes.
+func U64[T ~uint64](c *Codec, p *T) {
+	v := uint64(*p)
+	c.U64(&v)
+	*p = T(v)
 }
 
-// Len reads a length prefix, validating it against the remaining input so
-// corrupt streams fail fast instead of allocating absurd buffers.
-func (r *Reader) Len() int { return r.len() }
+// length codes a length prefix. Decoding rejects a length the rest of the
+// stream cannot plausibly hold, so a corrupt stream fails fast instead of
+// allocating an absurd buffer.
+func (c *Codec) length(p *int) {
+	v := uint64(*p)
+	c.U64(&v)
+	if c.err != nil {
+		return
+	}
+	if c.dec && v > uint64(c.Rest())+1<<20 {
+		c.Fail("snap: implausible length %d at offset %d (stream has %d bytes left)", v, c.off, c.Rest())
+		return
+	}
+	*p = int(v)
+}
 
-func (r *Reader) len() int {
-	n := r.U64()
-	if r.err != nil {
-		return 0
+// Table codes the length prefix of a table whose size the receiver's
+// geometry fixes: decoding fails unless the stream holds exactly n
+// entries. what names the table in the error. Table reports whether the
+// caller may go on to code the n entries.
+func (c *Codec) Table(n int, what string) bool {
+	m := n
+	c.Int(&m)
+	if c.err == nil && m != n {
+		c.Fail("%s size %d, snapshot has %d", what, n, m)
 	}
-	if n > uint64(len(r.data)-r.off)+1<<20 {
-		r.err = fmt.Errorf("snap: implausible length %d at offset %d (stream has %d bytes left)", n, r.off, len(r.data)-r.off)
-		return 0
+	return c.err == nil
+}
+
+// Slice codes a length-prefixed slice with elem coding each element.
+// Decoding resizes *s to the stream's length, reusing its capacity, and
+// zeroes the elements before elem fills them.
+func Slice[T any](c *Codec, s *[]T, elem func(*Codec, *T)) {
+	n := len(*s)
+	c.length(&n)
+	if c.err != nil {
+		return
 	}
-	return int(n)
+	if c.dec {
+		*s = slices.Grow((*s)[:0], n)[:n]
+		clear(*s)
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
+}
+
+// Map codes a map as a length-prefixed list of (key, value) pairs in
+// ascending key order, so the bytes do not depend on Go's map iteration
+// order. Keys take eight bytes; val codes each value. Decoding clears m
+// and fills it from the stream; m must not be nil.
+func Map[K ~int | ~uint64, V any](c *Codec, m map[K]V, val func(*Codec, *V)) {
+	var keys []K
+	if !c.dec {
+		keys = SortedKeys(m)
+	}
+	n := len(keys)
+	c.length(&n)
+	if c.err != nil {
+		return
+	}
+	if c.dec {
+		clear(m)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		var k K
+		var v V
+		if !c.dec {
+			k = keys[i]
+			v = m[k]
+		}
+		kv := uint64(k)
+		c.U64(&kv)
+		k = K(kv)
+		val(c, &v)
+		if c.dec && c.err == nil {
+			m[k] = v
+		}
+	}
+}
+
+// SortedKeys returns m's keys in ascending order.
+func SortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	//smtfetch:commutative keys are collected and sorted before use
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -21,6 +21,12 @@
 # failed operations. The same figures, with every run's value and both
 # host lines, go to stdout as JSON. Raw run outputs stay in
 # .bench_build/benchpair/.
+#
+# Before the pairs it runs each workload once per side with --trace 1 and
+# fails unless the change's last line is a JSON result reporting at least
+# as many of BENCHMARK.json's per-layer metrics as BASE's: a traced run
+# can exit 0 yet omit a metric (a core.stage one, when the profile no
+# longer resolves its stage method).
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -69,6 +75,42 @@ run_side() {
 		'{workload: $w, side: $side, pair: $pair, digests: $digests} + .' >>"$runs"
 }
 
+# traced_layers SIDE DIR WORKLOAD runs one traced benchmark and prints the
+# per-layer metric names its last line reports, one per line; it prints
+# nothing when that line is not a JSON result.
+traced_layers() {
+	local side=$1 dir=$2 w=$3
+	local log="$out/$w.$side.trace.txt"
+	echo "benchpair: $w traced: $side" >&2
+	(cd "$dir" && bash perfbench/run.sh --workload "$w" --trace 1) >"$log" 2>"$log.err" || {
+		echo "benchpair: $side traced run failed, see $log.err" >&2
+		exit 1
+	}
+	tail -n 1 "$log" | jq -r --slurpfile spec BENCHMARK.json \
+		'select(type == "object" and (.metrics | type) == "object")
+		| .metrics | keys[] | select(IN($spec[0].per_layer[].name))' 2>/dev/null || true
+}
+
+traced="$out/traced.jsonl"
+: >"$traced"
+for w in $workloads; do
+	base_layers=$(traced_layers base "$wt" "$w")
+	change_layers=$(traced_layers change "$root" "$w")
+	rec=$(jq -n -c --arg w "$w" --arg b "$base_layers" --arg c "$change_layers" '
+		($b | split("\n") | map(select(. != ""))) as $b
+		| ($c | split("\n") | map(select(. != ""))) as $c
+		| {workload: $w, base: ($b | length), change: ($c | length), missing: ($b - $c)}')
+	echo "$rec" >>"$traced"
+	if [ -z "$change_layers" ]; then
+		echo "benchpair: $w: the change's traced run did not end in a JSON result with metrics, see $out/$w.change.trace.txt" >&2
+		exit 1
+	fi
+	if ! jq -e '.change >= .base' <<<"$rec" >/dev/null; then
+		echo "benchpair: $w: the change's traced run reports fewer per-layer metrics than BASE's: $rec" >&2
+		exit 1
+	fi
+done
+
 for w in $workloads; do
 	for i in $(seq 1 "$pairs"); do
 		if [ $((i % 2)) -eq 1 ]; then
@@ -83,7 +125,7 @@ done
 
 # Go stamps a build in a worktree nested inside this checkout with the
 # outer checkout's commit, so the base host line takes BASE's commit.
-jq -n --slurpfile spec BENCHMARK.json --slurpfile all "$runs" \
+jq -n --slurpfile spec BENCHMARK.json --slurpfile all "$runs" --slurpfile traced "$traced" \
 	--slurpfile hb "$out/host.base.json" --slurpfile hc "$out/host.change.json" \
 	--arg base "$base" --arg base_sha "$base_sha" --argjson pairs "$pairs" '
 def quant($p): sort as $s | ($s | length) as $n | ($p * ($n - 1)) as $h | ($h | floor) as $lo
@@ -95,6 +137,7 @@ $spec[0] as $spec
 	change: "working tree",
 	pairs: $pairs,
 	command: "bash perfbench/run.sh --workload W --trace 0",
+	traced_per_layer_metrics: ($traced | map({key: .workload, value: del(.workload)}) | from_entries),
 	host: {base: ($hb[0] + {commit: $base_sha}), change: $hc[0]},
 	workloads: ($spec.workloads | map(.name as $w
 		| ($all | map(select(.workload == $w and .side == "base")) | sort_by(.pair)) as $b
@@ -132,6 +175,7 @@ $spec[0] as $spec
 jq -r '
 "base \(.base) against the working tree, \(.pairs) pairs per workload",
 "host \(.host.change | tojson)",
+(.traced_per_layer_metrics | to_entries[] | "\(.key) traced: \(.value.base) per-layer metrics base, \(.value.change) change"),
 (.workloads | to_entries[] | .key as $w | .value
 	| "",
 	"\($w): correct \(.correct), failed \(.failed.base)/\(.attempted.base) base, \(.failed.change)/\(.attempted.change) change, digests agree \(.digests_agree)",
