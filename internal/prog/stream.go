@@ -76,7 +76,7 @@ func (p *Program) newStream(seed uint64, pc isa.Addr) *Stream {
 //smtfetch:hotpath
 func (s *Stream) Peek(k int) *isa.Instruction {
 	for len(s.buf)-s.head <= k {
-		//smtfetch:allowalloc lookahead buffer is compacted at 4096: capacity converges to the compaction bound
+		//smtfetch:allowalloc Advance drops the consumed prefix: capacity converges to the deepest Peek
 		s.buf = append(s.buf, s.gen())
 	}
 	return &s.buf[s.head+k]
@@ -91,15 +91,17 @@ func (s *Stream) PC() isa.Addr { return s.Peek(0).PC }
 //
 //smtfetch:hotpath
 func (s *Stream) Advance(n int) {
-	for len(s.buf)-s.head < n {
-		//smtfetch:allowalloc lookahead buffer is compacted at 4096: capacity converges to the compaction bound
-		s.buf = append(s.buf, s.gen())
+	// Instructions past the buffered ones are walked over unbuffered.
+	for pending := len(s.buf) - s.head; n > pending; n-- {
+		s.gen()
 	}
 	s.head += n
-	// Compact the buffer occasionally to bound growth.
-	if s.head >= 4096 {
-		//smtfetch:allowalloc lookahead buffer is compacted at 4096: capacity converges to the compaction bound
-		s.buf = append(s.buf[:0], s.buf[s.head:]...)
+	// Drop the consumed prefix once it is at least as long as what is
+	// still pending: with nothing pending, as after the fetch unit's
+	// Peek(0), Advance(1), the buffer empties, and it never holds more
+	// than twice the deepest Peek.
+	if rest := len(s.buf) - s.head; rest <= s.head {
+		s.buf = s.buf[:copy(s.buf, s.buf[s.head:])]
 		s.head = 0
 	}
 }

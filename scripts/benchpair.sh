@@ -26,7 +26,10 @@
 # fails unless the change's last line is a JSON result reporting at least
 # as many of BENCHMARK.json's per-layer metrics as BASE's: a traced run
 # can exit 0 yet omit a metric (a core.stage one, when the profile no
-# longer resolves its stage method).
+# longer resolves its stage method). For every core.stage metric BASE
+# reported and the change did not, it re-resolves the change's saved CPU
+# profile with no node-fraction cut and prints the stage's cumulative time
+# and share, and whether pprof marks it inlined; the gate still fails.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -75,9 +78,10 @@ run_side() {
 		'{workload: $w, side: $side, pair: $pair, digests: $digests} + .' >>"$runs"
 }
 
-# traced_layers SIDE DIR WORKLOAD runs one traced benchmark and prints the
-# per-layer metric names its last line reports, one per line; it prints
-# nothing when that line is not a JSON result.
+# traced_layers SIDE DIR WORKLOAD runs one traced benchmark, keeps its CPU
+# profile as $out/WORKLOAD.SIDE.cpu.pprof and prints the per-layer metric
+# names its last line reports, one per line; it prints nothing when that
+# line is not a JSON result.
 traced_layers() {
 	local side=$1 dir=$2 w=$3
 	local log="$out/$w.$side.trace.txt"
@@ -86,9 +90,30 @@ traced_layers() {
 		echo "benchpair: $side traced run failed, see $log.err" >&2
 		exit 1
 	}
+	cp "$dir/.bench_build/out/$w-seed1-cpu.pprof" "$out/$w.$side.cpu.pprof" 2>/dev/null || true
 	tail -n 1 "$log" | jq -r --slurpfile spec BENCHMARK.json \
 		'select(type == "object" and (.metrics | type) == "object")
 		| .metrics | keys[] | select(IN($spec[0].per_layer[].name))' 2>/dev/null || true
+}
+
+# explain_stage WORKLOAD METRIC prints why the change's traced run lacks
+# core.stage METRIC: the stage's rows in its profile resolved with
+# -nodefraction=0, which perfbench's default 0.5% cut may have dropped.
+explain_stage() {
+	local w=$1 m=$2 prof="$out/$1.change.cpu.pprof" fn
+	fn="smtfetch/internal/core.(*Sim).$(sed 's/^core\.stage\.//; s/\.ns_per_cycle$//' <<<"$m")"
+	if [ ! -s "$prof" ]; then
+		echo "$m absent and no saved profile to re-resolve"
+		return
+	fi
+	PPROF_TMPDIR="$out" go tool pprof -top -nodecount=1000000 -nodefraction=0 -unit=ns "$prof" 2>/dev/null |
+		awk -v m="$m" -v fn="$fn" '
+			$6 == fn {
+				found = 1
+				printf "%s absent; at -nodefraction=0 %s has cum %s, %d samples at 100 Hz (%s of the profile)%s\n",
+					m, fn, $4, $4 / 1e7, $5, ($NF == "(inline)" ? ", marked (inline)" : ", not inlined")
+			}
+			END { if (!found) printf "%s absent; %s is not in the profile even at -nodefraction=0\n", m, fn }'
 }
 
 traced="$out/traced.jsonl"
@@ -100,6 +125,13 @@ for w in $workloads; do
 		($b | split("\n") | map(select(. != ""))) as $b
 		| ($c | split("\n") | map(select(. != ""))) as $c
 		| {workload: $w, base: ($b | length), change: ($c | length), missing: ($b - $c)}')
+	why=$(for m in $(jq -r '.missing[] | select(startswith("core.stage."))' <<<"$rec"); do
+		explain_stage "$w" "$m"
+	done)
+	if [ -n "$why" ]; then
+		sed "s/^/benchpair: $w: /" <<<"$why" >&2
+	fi
+	rec=$(jq -c --arg why "$why" '. + {absent: ($why | split("\n") | map(select(. != "")))}' <<<"$rec")
 	echo "$rec" >>"$traced"
 	if [ -z "$change_layers" ]; then
 		echo "benchpair: $w: the change's traced run did not end in a JSON result with metrics, see $out/$w.change.trace.txt" >&2
