@@ -1,20 +1,50 @@
 package main_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"smtfetch/internal/lint"
 )
+
+var (
+	buildOnce sync.Once
+	binDir    string
+	bin       string
+	buildErr  error
+)
+
+// TestMain removes the binary buildLint leaves behind.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
 
 // buildLint compiles the smtfetch-lint binary once per test run.
 func buildLint(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "smtfetch-lint")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building smtfetch-lint: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "smtfetch-lint"); buildErr != nil {
+			return
+		}
+		bin = filepath.Join(binDir, "smtfetch-lint")
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatalf("building smtfetch-lint: %v", buildErr)
 	}
 	return bin
 }
@@ -26,6 +56,43 @@ func moduleRoot(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return filepath.Join(wd, "..", "..")
+}
+
+// writeModule writes files (slash-separated paths to contents) into a
+// fresh directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// runLint runs the standalone binary in dir with args and returns its
+// stdout, stderr and exit code.
+func runLint(t *testing.T, dir string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(buildLint(t), args...)
+	cmd.Dir = dir
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
 }
 
 // TestVettoolCleanTree drives the binary through the go vet protocol over
@@ -122,18 +189,8 @@ func TestVettoolCatchesSeededViolations(t *testing.T) {
 		t.Skip("runs go vet on a scratch module; skipped in -short mode")
 	}
 	bin := buildLint(t)
-	dir := t.TempDir()
-	for name, content := range seededModule {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
+	cmd.Dir = writeModule(t, seededModule)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("go vet passed on the seeded-violation module:\n%s", out)
@@ -151,5 +208,94 @@ func TestVettoolCatchesSeededViolations(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("vet output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStandaloneSeeded runs the standalone command on the seeded module
+// plus an in-package test file, so vet checks core's test variant: the
+// text output names all six analyzers and prints each finding once,
+// -json carries the same findings in the array schema, and both exit 1.
+func TestStandaloneSeeded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet on a scratch module; skipped in -short mode")
+	}
+	files := map[string]string{
+		"internal/core/core_test.go": "package core\n\nimport \"testing\"\n\nfunc TestEvil(t *testing.T) { Evil() }\n",
+	}
+	for name, content := range seededModule {
+		files[name] = content
+	}
+	dir := writeModule(t, files)
+
+	out, stderr, code := runLint(t, dir, "./...")
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1 (mixed findings)\n%s%s", code, out, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	seen := make(map[string]bool)
+	for _, line := range lines {
+		if seen[line] {
+			t.Errorf("finding printed twice: %s", line)
+		}
+		seen[line] = true
+		if !strings.HasPrefix(line, dir+string(filepath.Separator)) {
+			t.Errorf("finding without an absolute path under the module: %s", line)
+		}
+	}
+	for _, a := range lint.Analyzers() {
+		if !strings.Contains(out, ": "+a.Name+": ") {
+			t.Errorf("text output names no %s finding:\n%s", a.Name, out)
+		}
+	}
+
+	jsonOut, stderr, code := runLint(t, dir, "-json", "./...")
+	if code != 1 {
+		t.Fatalf("-json exit code %d, want 1\n%s", code, stderr)
+	}
+	var findings []struct {
+		File     string `json:"file"`
+		Line     int    `json:"line"`
+		Col      int    `json:"col"`
+		Analyzer string `json:"analyzer"`
+		Message  string `json:"message"`
+	}
+	dec := json.NewDecoder(strings.NewReader(jsonOut))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&findings); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, jsonOut)
+	}
+	if len(findings) != len(lines) {
+		t.Fatalf("-json holds %d findings, text %d", len(findings), len(lines))
+	}
+	for i, f := range findings {
+		text := fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+		if text != lines[i] {
+			t.Errorf("-json finding %d is %q, text line %q", i, text, lines[i])
+		}
+	}
+}
+
+// TestStandaloneExitCodes pins the per-class exit codes CI dispatches on.
+func TestStandaloneExitCodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet on scratch modules; skipped in -short mode")
+	}
+	const goMod = "module smtfetch\n\ngo 1.24\n"
+	for _, tc := range []struct {
+		name   string
+		config string
+		want   int
+	}{
+		{"clean", "package config\n\ntype Config struct{ ROBSize int }\n", 0},
+		{"keycov only", "package config\n\ntype Config struct {\n\tROBSize int\n\thidden  int\n}\n", 7},
+		{"type error", "package config\n\nfunc F() int { return \"x\" }\n", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeModule(t, map[string]string{"go.mod": goMod, "internal/config/config.go": tc.config})
+			out, stderr, code := runLint(t, dir, "./...")
+			if code != tc.want {
+				t.Fatalf("exit code %d, want %d\n%s%s", code, tc.want, out, stderr)
+			}
+		})
 	}
 }

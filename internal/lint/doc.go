@@ -58,10 +58,16 @@
 //	    does not influence simulated state or output. The reason is
 //	    mandatory.
 //
+// A line directive (allowalloc, allowcold, commutative, and statecov's
+// transient and keycov's nonsemantic) covers the line it trails, or the
+// line below when the comment stands alone on its line. A directive
+// trailing one field or statement never covers the next.
+//
 // Test files (_test.go) are exempt from all three analyzers: tests build
 // fixtures by hand on purpose, and the runtime identity checks still
 // guard them.
 //
-// The suite is compiled into cmd/smtfetch-lint, which is both a
-// standalone checker (smtfetch-lint ./...) and a go vet -vettool.
+// The suite is compiled into cmd/smtfetch-lint and always runs as a go
+// vet -vettool: the standalone smtfetch-lint ./... runs go vet with
+// itself as the tool and rewrites vet's -json findings.
 package lint

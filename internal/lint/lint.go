@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"bytes"
 	"go/ast"
 	"go/token"
+	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -52,34 +54,19 @@ const directivePrefix = "//smtfetch:"
 
 // directives indexes every //smtfetch: comment directive of one package:
 // by declaration (for hotpath/poolowner) and by file line (for the
-// allowalloc/allowcold/commutative escape hatches).
+// allowalloc/allowcold/commutative/transient/nonsemantic escape hatches).
 type directives struct {
 	fset *token.FileSet
 	// decl maps a FuncDecl or TypeSpec node to its directive names.
 	decl map[ast.Node]map[string]bool
-	// line maps filename:line to the directive names present on that
-	// line (either as a standalone comment line or trailing a statement).
+	// line maps filename:line to the directive names that cover that line:
+	// those on the line itself, and those whose comment stands alone on
+	// the line above. A directive trailing code covers its own line only.
 	line map[string]map[string]bool
 }
 
-func lineKey(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return p.Filename + ":" + itoa(p.Line)
-}
-
-// itoa avoids strconv for a tiny hot helper (and keeps imports minimal).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+func lineKey(filename string, line int) string {
+	return filename + ":" + strconv.Itoa(line)
 }
 
 // parseDirective returns the directive name and whether the comment line
@@ -120,6 +107,9 @@ func collectDirectives(pass *analysis.Pass) *directives {
 		dirTransient: true, dirNonsemantic: true,
 	}
 	for _, f := range pass.Files {
+		// Without the source every directive counts as trailing code, so
+		// it covers its own line only.
+		src, _ := pass.ReadFile(pass.Fset.File(f.FileStart).Name())
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				name, reason, ok := parseDirective(c.Text)
@@ -134,11 +124,11 @@ func collectDirectives(pass *analysis.Pass) *directives {
 					pass.Reportf(c.Pos(), "%s%s requires a justification after the directive name", directivePrefix, name)
 					continue
 				}
-				key := lineKey(pass.Fset, c.Pos())
-				if d.line[key] == nil {
-					d.line[key] = make(map[string]bool)
+				p := pass.Fset.Position(c.Pos())
+				d.mark(lineKey(p.Filename, p.Line), name)
+				if standsAlone(src, p) {
+					d.mark(lineKey(p.Filename, p.Line+1), name)
 				}
-				d.line[key][name] = true
 			}
 		}
 		// Attach doc-comment directives to their declarations.
@@ -167,6 +157,20 @@ func collectDirectives(pass *analysis.Pass) *directives {
 	return d
 }
 
+func (d *directives) mark(key, name string) {
+	if d.line[key] == nil {
+		d.line[key] = make(map[string]bool)
+	}
+	d.line[key][name] = true
+}
+
+// standsAlone reports whether only blanks precede the comment at p on its
+// line of src.
+func standsAlone(src []byte, p token.Position) bool {
+	start := p.Offset - (p.Column - 1)
+	return start >= 0 && p.Offset <= len(src) && len(bytes.TrimSpace(src[start:p.Offset])) == 0
+}
+
 func (d *directives) attachDoc(node ast.Node, doc *ast.CommentGroup) {
 	if doc == nil {
 		return
@@ -188,15 +192,13 @@ func (d *directives) declHas(node ast.Node, name string) bool {
 	return d.decl[node][name]
 }
 
-// lineHas reports whether the named line directive is present on the
-// node's own line or the line immediately above it (the two conventional
-// placements for an escape-hatch comment).
+// lineHas reports whether the named line directive covers the node's
+// line: it trails code on that line or stands alone on the line above (the
+// two conventional placements for an escape-hatch comment). A directive
+// trailing the line above belongs to that line's code, not to this one.
 func (d *directives) lineHas(pos token.Pos, name string) bool {
 	p := d.fset.Position(pos)
-	if d.line[p.Filename+":"+itoa(p.Line)][name] {
-		return true
-	}
-	return p.Line > 1 && d.line[p.Filename+":"+itoa(p.Line-1)][name]
+	return d.line[lineKey(p.Filename, p.Line)][name]
 }
 
 // isTestFile reports whether pos is inside a _test.go file. Tests build

@@ -63,6 +63,6 @@ var schemaRegs = []schemaReg{
 		Version: 2,
 		Mode:    "snap",
 		Roots:   []string{"Sim"},
-		Digest:  "b7882340f146386e",
+		Digest:  "0f98b4bbacb44711",
 	},
 }

@@ -12,13 +12,16 @@ func (c *Codec) Int(p *int) {}
 
 // Table is snapshot state through its two-way Snap method alone: a field
 // the method codes is covered in both directions, one it leaves out is
-// reported.
+// reported. A transient directive trailing ways covers ways alone, so mru
+// below it is still audited.
 type Table struct {
 	covered int
 	nested  int
 	missing int // want "neither the snapshot-write nor the restore-read path"
 	//smtfetch:transient geometry, fixed at construction
 	size int
+	ways int //smtfetch:transient geometry, fixed at construction
+	mru  int // want "neither the snapshot-write nor the restore-read path"
 }
 
 // Snap codes covered directly and nested through an unexported helper.
